@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: lint race test test-sanitize test-trace test-race bench bench-sell serve-bench bench-obs bench-obs-fleet bench-fleet tune tune-smoke check
+.PHONY: lint race test test-sanitize test-trace test-race bench bench-sell serve-bench bench-obs bench-obs-fleet bench-fleet tune tune-smoke wall-bench-smoke check
 
 ## Static analysis: the twelve RDL rules over the whole tree, JSON
 ## mode, non-zero exit on any finding.  See docs/analysis.md.
@@ -91,6 +91,15 @@ tune:
 ## pinned to a temp file so the run never touches ~/.cache.
 tune-smoke:
 	REPRO_TUNE_CACHE=$$(mktemp -d)/tune.json PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench tune --smoke
+
+## Wall-clock benchmark smoke (BENCHMARK.json's command): the bench
+## package's own tests, then every workload for a fixed 2 s with all
+## output checks on — dense K/f recomputation per fit, traced alpha
+## bitwise equal to untraced, served answers equal to replay_unbatched.
+## Non-zero exit when any check fails; the timings are not gated.
+wall-bench-smoke:
+	$(PYTHON) -m pytest bench/tests -q
+	$(PYTHON) -m bench run --smoke
 
 ## Everything CI gates on.
 check: lint race test test-sanitize test-trace test-race

@@ -39,7 +39,7 @@ class FixedFormatSVC(SVC):
         C: float = 1.0,
         tol: float = 1e-3,
         max_iter: int = 100_000,
-        cache_rows: int = 256,
+        cache_rows: Optional[int] = None,
         **kernel_params: float,
     ) -> None:
         super().__init__(

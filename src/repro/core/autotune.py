@@ -19,7 +19,7 @@ import numpy as np
 from repro.features.extract import profile_from_coo
 from repro.formats.base import FORMAT_NAMES, MatrixFormat
 from repro.formats.convert import format_class
-from repro.perf.timers import benchmark
+from repro.perf.timers import Timer, benchmark
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,11 @@ class AutoTuner:
         for name in names:
             cls = format_class(name)
             try:
-                t_build = benchmark(
-                    lambda: cls.from_coo(srows, scols, svalues, sshape),
-                    repeats=1,
-                    warmup=0,
-                ).median
-                matrix: MatrixFormat = cls.from_coo(
-                    srows, scols, svalues, sshape
-                )
+                # The timed build is the matrix the probe then uses.
+                with Timer() as build:
+                    matrix: MatrixFormat = cls.from_coo(
+                        srows, scols, svalues, sshape
+                    )
             except Exception as exc:
                 # A format that cannot represent this matrix (e.g. a
                 # blocked layout on an incompatible shape) loses the
@@ -153,7 +150,7 @@ class AutoTuner:
                 ProbeResult(
                     fmt=name,
                     median_seconds=r.median / len(probe_ids),
-                    build_seconds=t_build,
+                    build_seconds=build.elapsed,
                     probe_rows=m,
                 )
             )

@@ -3,8 +3,10 @@
 This is the runtime component of the scheduler: before training starts,
 the adaptive system extracts the nine parameters from the (arbitrary-
 format) input and feeds them to the decision system.  Extraction cost is
-a single pass over the coordinates — negligible next to even one SMO
-iteration, which is what makes *runtime* scheduling viable.
+linear in the coordinates — row lengths and diagonal offsets are both
+counted with ``np.bincount``, and validating already-canonical
+coordinates is one increasing-key test, no sort — negligible next to
+even one SMO iteration, which is what makes *runtime* scheduling viable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.features.profile import DatasetProfile
-from repro.formats.base import VALUE_DTYPE, MatrixFormat, validate_coo
+from repro.formats.base import (
+    INDEX_DTYPE,
+    VALUE_DTYPE,
+    MatrixFormat,
+    canonical_coords,
+)
 
 
 def profile_from_coo(
@@ -31,9 +38,11 @@ def profile_from_coo(
     only ``rows``/``cols`` are needed.
     """
     if not validated:
-        rows, cols, _ = validate_coo(
-            rows, cols, np.ones(len(np.asarray(rows).ravel())), shape
-        )
+        rows = np.asarray(rows, dtype=INDEX_DTYPE).ravel()
+        cols = np.asarray(cols, dtype=INDEX_DTYPE).ravel()
+        if rows.shape != cols.shape:
+            raise ValueError("rows, cols must have equal length")
+        rows, cols, _ = canonical_coords(rows, cols, shape)
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     m, n = int(shape[0]), int(shape[1])
@@ -50,8 +59,10 @@ def profile_from_coo(
     mdim = int(dim.max())
     vdim = float(np.mean((dim - adim) ** 2))
 
-    offsets = cols.astype(np.int64) - rows.astype(np.int64)
-    ndig = int(np.unique(offsets).shape[0])
+    # Diagonal offsets col - row lie in [-(m-1), n-1]; shifted by m-1
+    # they index a histogram whose non-empty bins are the diagonals.
+    offsets = cols.astype(np.int64) - rows.astype(np.int64) + (m - 1)
+    ndig = int(np.count_nonzero(np.bincount(offsets)))
     dnnz = nnz / ndig
 
     density = nnz / (m * n) if m and n else 0.0
@@ -190,10 +201,18 @@ def layout_features_from_matrix(
     sigma: Optional[int] = None,
 ) -> LayoutFeatures:
     """Layout features of any stored format (one O(nnz) pass)."""
+    return layout_features(row_nnz(matrix), chunk=chunk, sigma=sigma)
+
+
+def row_nnz(matrix: MatrixFormat) -> np.ndarray:
+    """Per-row nnz counts of any stored format (int64, length M).
+
+    Formats that keep row lengths (CSR, ELL, SELL, the permuted
+    wrappers) answer directly; the others count rows of their COO
+    triples.
+    """
     lengths = getattr(matrix, "row_lengths", None)
     if lengths is None:
         rows, _, _ = matrix.to_coo()
         lengths = np.bincount(rows, minlength=matrix.shape[0])
-    return layout_features(
-        np.asarray(lengths, dtype=np.int64), chunk=chunk, sigma=sigma
-    )
+    return np.asarray(lengths, dtype=np.int64)

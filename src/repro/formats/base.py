@@ -342,13 +342,33 @@ def validate_coo(
     """Validate and canonicalise COO triples (sort row-major, no dups).
 
     Shared by every ``from_coo`` implementation so all formats agree on
-    what a legal matrix is.
+    what a legal matrix is.  The returned arrays never alias the inputs
+    (formats store them), even when the input was already canonical.
     """
     rows = np.asarray(rows, dtype=INDEX_DTYPE).ravel()
     cols = np.asarray(cols, dtype=INDEX_DTYPE).ravel()
     values = np.asarray(values, dtype=VALUE_DTYPE).ravel()
     if not (rows.shape == cols.shape == values.shape):
         raise ValueError("rows, cols, values must have equal length")
+    rows, cols, order = canonical_coords(rows, cols, shape)
+    if order is None:
+        return rows.copy(), cols.copy(), values.copy()
+    return rows, cols, values[order]
+
+
+def canonical_coords(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    shape: Tuple[int, int],
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Range-check coordinates and put them in row-major order.
+
+    Returns ``(rows, cols, order)``.  Coordinates whose row-major keys
+    ``row * N + col`` already strictly increase are canonical and free
+    of duplicates; they come back as given with ``order=None`` after one
+    O(nnz) test.  Anything else is lexsorted (``order`` is the
+    permutation applied) and checked for duplicate coordinates.
+    """
     m, n = shape
     if m < 0 or n < 0:
         raise ValueError("shape must be non-negative")
@@ -357,10 +377,12 @@ def validate_coo(
             raise ValueError("row index out of range")
         if cols.min() < 0 or cols.max() >= n:
             raise ValueError("column index out of range")
+    keys = rows.astype(np.int64) * n + cols
+    if np.all(keys[1:] > keys[:-1]):
+        return rows, cols, None
     order = np.lexsort((cols, rows))
-    rows, cols, values = rows[order], cols[order], values[order]
-    if rows.size > 1:
-        same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-        if np.any(same):
-            raise ValueError("duplicate coordinates in COO input")
-    return rows, cols, values
+    rows, cols = rows[order], cols[order]
+    same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
+    if np.any(same):
+        raise ValueError("duplicate coordinates in COO input")
+    return rows, cols, order

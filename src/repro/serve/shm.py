@@ -300,7 +300,7 @@ def attach_matrix(handle: MatrixHandle, att: Attachment) -> MatrixFormat:
     views = {a: att.attach(s) for a, s in handle.arrays.items()}
     if handle.fmt == "COO":
         # COOMatrix's constructor canonicalises through validate_coo,
-        # whose lexsort gather *copies*.  The published triples came
+        # which always returns fresh copies.  The published triples came
         # from a validated instance and are canonical already, so
         # assemble the object directly — the one format where the
         # constructor cannot be reused zero-copy.

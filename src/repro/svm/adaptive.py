@@ -36,8 +36,10 @@ class AdaptiveSVC(SVC):
     decision_:
         The layout decision made at ``fit`` time.
     convert_seconds_:
-        Wall time spent re-laying-out the input (the runtime overhead
-        the paper's speedups are net of).
+        Wall time of the whole scheduling step before SMO: extracting
+        the profile, deciding (including any probe the strategy runs)
+        and converting the input — the runtime overhead the paper's
+        speedups are net of.
     """
 
     def __init__(
@@ -47,7 +49,7 @@ class AdaptiveSVC(SVC):
         C: float = 1.0,
         tol: float = 1e-3,
         max_iter: int = 100_000,
-        cache_rows: int = 256,
+        cache_rows: Optional[int] = None,
         cache_mb: Optional[float] = None,
         working_set: str = "first",
         shrink_every: int = 0,

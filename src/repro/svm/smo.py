@@ -194,6 +194,32 @@ class _ActiveSet:
         return sub, ids
 
 
+def _default_cache_mb(X: MatrixFormat) -> float:
+    """Row-cache budget (MB) when the caller sized nothing.
+
+    A warm tuning-cache entry for this shape class wins (LIBSVM -m,
+    measured rather than guessed); otherwise the tuning catalogue's
+    analytic default, the incumbent ``repro tune`` races — so the
+    default a fit runs is the default the tuner measured against.
+    Per-row nnz (the cache key's input) is only derived once the
+    ``row_cache_mb`` family is known to be warm, so the cold path
+    costs one dict scan.  Cache size only moves recompute time — the
+    rows it returns are the rows it was handed — so labels are
+    untouched.
+    """
+    from repro.features.extract import row_nnz
+    from repro.tune.cache import tune_cache, tuned_for_lengths, tuning_enabled
+    from repro.tune.space import row_cache_default_mb
+
+    if tuning_enabled() and tune_cache().has_family("row_cache_mb"):
+        tuned = tuned_for_lengths(
+            "row_cache_mb", "row_cache_mb", row_nnz(X), X.shape
+        )
+        if tuned is not None:
+            return float(tuned)
+    return float(row_cache_default_mb(X.shape[0]))
+
+
 def smo_train(
     X: MatrixFormat,
     y: np.ndarray,
@@ -202,7 +228,7 @@ def smo_train(
     C: float = 1.0,
     tol: float = 1e-3,
     max_iter: int = 100_000,
-    cache_rows: int = 256,
+    cache_rows: Optional[int] = None,
     cache_mb: Optional[float] = None,
     working_set: str = "first",
     shrink_every: int = 0,
@@ -234,7 +260,11 @@ def smo_train(
         Alternative cache sizing by memory budget in MB (LIBSVM's
         ``-m`` semantics): the cache holds as many float64 rows of
         length M as fit the budget.  Overrides ``cache_rows`` when
-        given; 0 disables caching.
+        given; 0 disables caching.  When neither is given, a warm
+        ``row_cache_mb`` tuning entry sizes the budget, else the
+        tuning catalogue's default
+        (:func:`repro.tune.space.row_cache_default_mb`: ~4k rows,
+        at most 64 MB).
     working_set:
         ``"first"`` — the paper's maximal-violating pair;
         ``"second"`` — LIBSVM's second-order gain rule (usually fewer
@@ -314,20 +344,8 @@ def smo_train(
 
     row_norms = X.row_norms_sq()
     k_diag = kernel.diagonal(row_norms) if working_set == "second" else None
-    if cache_mb is None:
-        # No explicit budget: a warm tuning-cache entry for this shape
-        # class sizes the row cache (LIBSVM -m, measured rather than
-        # guessed).  Cache size only moves recompute time — the rows it
-        # returns are the rows it was handed — so labels are untouched.
-        from repro.tune.cache import tuned_for_lengths
-
-        lengths = getattr(X, "row_lengths", None)
-        if lengths is not None:
-            tuned = tuned_for_lengths(
-                "row_cache_mb", "row_cache_mb", lengths, X.shape
-            )
-            if tuned is not None:
-                cache_mb = float(tuned)
+    if cache_mb is None and cache_rows is None:
+        cache_mb = _default_cache_mb(X)
     if cache_mb is not None:
         cache = _RowCache.from_budget_mb(cache_mb, 8 * m)
     else:

@@ -45,8 +45,10 @@ class SVC:
         Passed through to :func:`repro.svm.smo.smo_train`
         (``working_set="second"`` enables LIBSVM's second-order pair
         selection; ``shrink_every > 0`` enables shrinking; ``cache_mb``
-        sizes the row cache by memory budget, LIBSVM ``-m`` style;
-        ``fuse_rows=False`` disables the dual-row SpMM hot path).
+        sizes the row cache by memory budget, LIBSVM ``-m`` style, and
+        leaving both cache sizes ``None`` runs the tuning catalogue's
+        ``row_cache_mb`` default; ``fuse_rows=False`` disables the
+        dual-row SpMM hot path).
     sv_block:
         Support vectors per blocked SpMM sweep in
         :meth:`decision_function` (``1`` disables blocking and
@@ -72,7 +74,7 @@ class SVC:
         C: float = 1.0,
         tol: float = 1e-3,
         max_iter: int = 100_000,
-        cache_rows: int = 256,
+        cache_rows: Optional[int] = None,
         cache_mb: Optional[float] = None,
         working_set: str = "first",
         shrink_every: int = 0,

@@ -164,14 +164,23 @@ def _sigma_default(p: DatasetProfile) -> int:
     return 64 if p.cv_dim < 0.25 else 0
 
 
-def _cache_default(p: DatasetProfile) -> int:
-    # One default that scales with the problem: cache ~4k rows' worth
-    # of float64 kernel rows, capped at 64 MB.
-    mb = (4096 * 8 * max(p.m, 1)) // (1 << 20)
+def row_cache_default_mb(m: int) -> int:
+    """The ``row_cache_mb`` default for an M-sample problem.
+
+    One default that scales with the problem: cache ~4k rows' worth of
+    float64 kernel rows, capped at 64 MB.  It depends on M alone, so
+    ``smo_train`` sizes its cache with it when nothing else is given —
+    the same value ``repro tune`` races as the incumbent.
+    """
+    mb = (4096 * 8 * max(m, 1)) // (1 << 20)
     for v in (64, 16, 4, 1):
         if mb >= v:
             return v
     return 1
+
+
+def _cache_default(p: DatasetProfile) -> int:
+    return row_cache_default_mb(p.m)
 
 
 #: The catalogue (family name -> search space).

@@ -20,6 +20,7 @@ from repro.core.cost_model import ANALYTIC_FORMATS
 from repro.core.scheduler import LayoutScheduler
 from repro.data.synthetic import uniform_rows_matrix
 from repro.features.extract import profile_from_coo
+from repro.formats.convert import convert
 from repro.formats.csr import CSRMatrix
 from repro.formats.reorder import RSELLMatrix
 from repro.formats.sell import DEFAULT_CHUNK, SELLMatrix
@@ -30,7 +31,7 @@ from repro.serve.rescheduler import FormatRescheduler
 from repro.svm.kernels import LinearKernel
 from repro.svm.smo import smo_train
 from repro.tune.cache import reset_tune_cache, tune_cache
-from repro.tune.space import FORMAT_FAMILY
+from repro.tune.space import FORMAT_FAMILY, row_cache_default_mb, space_for
 
 
 @pytest.fixture
@@ -217,3 +218,63 @@ class TestDeterminismGuards:
         assert np.array_equal(warm.alpha, cold.alpha)
         assert warm.b == cold.b
         assert warm.iterations == cold.iterations
+
+
+class TestRowCacheSizing:
+    """Which budget ``smo_train`` runs when the caller sizes nothing."""
+
+    @pytest.fixture
+    def capacities(self, monkeypatch):
+        import repro.svm.smo as smo
+
+        seen = []
+
+        class Recording(smo._RowCache):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                seen.append(self.capacity)
+
+        monkeypatch.setattr(smo, "_RowCache", Recording)
+        return seen
+
+    def _problem(self, fmt):
+        rows, cols, vals, shape = _coo(seed=15, m=60, n=12, per_row=4)
+        X = convert(CSRMatrix.from_coo(rows, cols, vals, shape), fmt)
+        y = np.where(np.arange(shape[0]) % 3 == 0, 1.0, -1.0)
+        return X, y, profile_from_coo(rows, cols, shape)
+
+    @pytest.mark.parametrize("fmt", ["DEN", "DIA", "COO", "CSC"])
+    def test_warm_entry_reaches_formats_without_row_lengths(
+        self, cache_path, capacities, monkeypatch, fmt
+    ):
+        X, y, profile = self._problem(fmt)
+        assert not hasattr(X, "row_lengths")
+        tune_cache().put("row_cache_mb", {"row_cache_mb": 0}, profile=profile)
+        warm = smo_train(X, y, LinearKernel(), max_iter=500)
+        monkeypatch.setenv("REPRO_TUNE", "0")
+        cold = smo_train(X, y, LinearKernel(), max_iter=500)
+        default_rows = (
+            row_cache_default_mb(X.shape[0]) * 1024 * 1024 // (8 * X.shape[0])
+        )
+        assert capacities == [0, default_rows]
+        assert warm.kernel_rows_cached == 0 < cold.kernel_rows_cached
+        assert np.array_equal(warm.alpha, cold.alpha)
+        assert warm.b == cold.b
+        assert warm.iterations == cold.iterations
+
+    def test_cold_default_is_the_tuning_incumbent(
+        self, cache_path, capacities
+    ):
+        X, y, profile = self._problem("DEN")
+        smo_train(X, y, LinearKernel(), max_iter=500)
+        incumbent = space_for("row_cache_mb").default_config(profile)
+        assert capacities == [
+            incumbent["row_cache_mb"] * 1024 * 1024 // (8 * X.shape[0])
+        ]
+
+    def test_explicit_sizes_beat_a_warm_entry(self, cache_path, capacities):
+        X, y, profile = self._problem("DEN")
+        tune_cache().put("row_cache_mb", {"row_cache_mb": 0}, profile=profile)
+        smo_train(X, y, LinearKernel(), max_iter=500, cache_rows=7)
+        smo_train(X, y, LinearKernel(), max_iter=500, cache_mb=1.0)
+        assert capacities == [7, 1024 * 1024 // (8 * X.shape[0])]
