@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: lint race test test-sanitize test-trace test-race bench bench-sell serve-bench bench-obs bench-obs-fleet bench-fleet tune tune-smoke wall-bench-smoke check
+.PHONY: lint race test test-sanitize test-trace test-race bench bench-sell serve-bench bench-obs bench-obs-fleet bench-fleet obs-report-smoke tune tune-smoke wall-bench-smoke check
 
 ## Static analysis: the twelve RDL rules over the whole tree, JSON
 ## mode, non-zero exit on any finding.  See docs/analysis.md.
@@ -77,6 +77,12 @@ bench-obs-fleet:
 ## `make bench-fleet QUICK=1` for the CI smoke variant.
 bench-fleet:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench fleet $(if $(QUICK),--smoke)
+
+## Decision-audit smoke: the five-dataset regret report (predicted vs
+## measured per-format costs, one audit record each) as JSON.  Non-zero
+## exit when the audit-record -> regret pipeline breaks.
+obs-report-smoke:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs report --quick --json
 
 ## Measured-time knob search over the report suite; winners persist
 ## to the tuning cache (REPRO_TUNE_CACHE or ~/.cache/repro/tune.json)

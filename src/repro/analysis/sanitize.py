@@ -452,7 +452,6 @@ _CHECKERS: Dict[str, Callable[[MatrixFormat], List[str]]] = {
     "BCSR": _check_bcsr,
     "SELL": _check_sell,
     "RCSR": _check_permuted,
-    "RELL": _check_permuted,
     "RSELL": _check_permuted,
     "PERM": _check_permuted,
 }

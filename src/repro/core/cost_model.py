@@ -38,17 +38,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.features.profile import DatasetProfile
 from repro.formats.base import FORMAT_NAMES
+from repro.formats.convert import FORMAT_FAMILIES
 
-#: Formats the analytic model can rank: the paper's five basic layouts
-#: plus PR 4's sliced-ELL (SELL-C) and the row-reordered variants
-#: (RCSR / RELL / RSELL = SELL-C-sigma).  The probe strategies accept
-#: anything in ``FORMAT_CLASSES``; the cost strategy accepts these.
-ANALYTIC_FORMATS: Tuple[str, ...] = FORMAT_NAMES + (
-    "SELL",
-    "RCSR",
-    "RELL",
-    "RSELL",
-)
+#: Formats the analytic model can rank (the ``analytic`` family): the
+#: paper's five basic layouts plus sliced-ELL (SELL-C) and the
+#: row-reordered variants (RCSR / RSELL = SELL-C-sigma).  The probe
+#: strategies accept anything in ``FORMAT_CLASSES``; the cost strategy
+#: accepts these.
+ANALYTIC_FORMATS: Tuple[str, ...] = FORMAT_FAMILIES["analytic"]
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class ArchCalibration:
             "DIA": 0.55,  # values only, contiguous x: no index stream
             "SELL": 0.9,  # ELL-like regular streams, per-slice padded
             "RCSR": 1.0,
-            "RELL": 0.9,
             "RSELL": 0.9,
         }
     )
@@ -94,7 +90,6 @@ class ArchCalibration:
             "DIA": 0.0,
             "SELL": 0.2,
             "RCSR": 1.0,
-            "RELL": 0.2,
             "RSELL": 0.2,
         }
     )
@@ -120,7 +115,6 @@ class ArchCalibration:
             "DIA": 0.15,
             "SELL": 0.35,
             "RCSR": 0.35,
-            "RELL": 0.35,
             "RSELL": 0.35,
         }
     )
@@ -225,13 +219,6 @@ class CostModel:
                 + self.calibration.sorted_residual * max(0.0, base - nnz)
                 + self.calibration.reorder_scatter * p.m
             )
-        if fmt == "RELL":
-            # ELL pads to the *global* max row length, which no row
-            # order can reduce — reordering only adds scatter cost.
-            return (
-                self.effective_elements("ELL", p)
-                + self.calibration.reorder_scatter * p.m
-            )
         raise ValueError(f"unknown format {fmt!r}")
 
     def _sell_elements(self, p: DatasetProfile) -> float:
@@ -333,7 +320,7 @@ class CostModel:
         iteration budgets.
         """
         build = 4.0 * p.nnz
-        if target.upper() in ("RCSR", "RELL", "RSELL"):
+        if target.upper() in ("RCSR", "RSELL"):
             # Reordered targets also sort the row-length keys (the
             # sigma-window permutation) and gather rows through it.
             build += p.m * math.log2(max(p.m, 2)) + p.nnz

@@ -11,14 +11,18 @@ probe     measure every format on a row sample (milliseconds, exact)
 hybrid    cost model shortlists top-k, probe decides among them
 ========  =============================================================
 
-Decisions are cached by a quantised profile key, so repeated training
-runs on similarly-shaped data skip re-deciding — the "runtime" in
-runtime scheduling stays cheap.
+Every decision, training-time or serving-time, is made by one method
+(:meth:`LayoutScheduler._decide`) consulting its sources in a fixed
+order: the persisted tuning cache, then the in-memory
+:class:`DecisionCache`, then the configured strategy.  The first
+source with an answer inside ``candidates`` wins, and the returned
+:class:`Decision` carries the model's per-format costs (and any
+measured ones) for the audit record and for callers' own policies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -26,9 +30,9 @@ import numpy as np
 from repro.analysis.race import make_lock, track_shared
 
 from repro.core.autotune import AutoTuner
-from repro.core.cost_model import ArchCalibration, CostModel
+from repro.core.cost_model import ANALYTIC_FORMATS, ArchCalibration, CostModel
 from repro.core.rules import RuleThresholds, rule_based_choice
-from repro.features.extract import extract_profile, profile_from_coo
+from repro.features.extract import profile_from_coo
 from repro.features.profile import DatasetProfile
 from repro.formats.base import FORMAT_NAMES, MatrixFormat
 from repro.formats.convert import convert, format_class
@@ -36,6 +40,8 @@ from repro.obs.audit import DecisionRecord, audit_log, current_dataset
 from repro.obs.trace import get_tracer
 
 STRATEGIES = ("rules", "cost", "probe", "hybrid")
+
+CooTriples = Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,29 @@ class Decision:
     #: / decision cache), "tuned" (persisted tuning cache), or "probe"
     #: (measured on the spot).
     source: str = "analytic"
+    #: Kernel-row block width the decision was made for.
+    batch_k: int = 1
+    #: Model cost per analytically priced candidate, cheapest first.
+    predicted: Dict[str, float] = field(default_factory=dict, compare=False)
+    #: Probe seconds per format, when the strategy measured.
+    measured: Dict[str, float] = field(default_factory=dict, compare=False)
+
+    def record(self, source: str) -> DecisionRecord:
+        """The audit record of this decision (``source`` is "schedule"
+        for training-time decisions, "serve" for runtime ones)."""
+        return DecisionRecord(
+            source=source,
+            dataset=current_dataset(),
+            strategy=self.strategy,
+            batch_k=self.batch_k,
+            chosen=self.fmt,
+            reason=self.reason,
+            cached=self.cached,
+            features=self.profile.as_dict(),
+            predicted=dict(self.predicted),
+            measured=dict(self.measured),
+            decision_source=self.source,
+        )
 
 
 def _quantise(x: float) -> float:
@@ -67,19 +96,19 @@ def _quantise(x: float) -> float:
 class DecisionCache:
     """Profile-keyed memo of past decisions.
 
-    The key also carries the scheduler's ``batch_k``: the same profile
-    can legitimately map to different formats for single-vector and
-    blocked sweeps (the amortisation shifts the ranking), so the two
-    workloads must not share cache entries.
+    The key also carries the ``batch_k`` and the deciding scheduler's
+    ``scope`` (its strategy and candidate tuple): the same profile can
+    legitimately map to different formats for single-vector and
+    blocked sweeps, for different strategies and for different
+    candidate sets, so schedulers of any configuration can share one
+    cache without handing each other formats outside their candidates.
 
     Thread-safe: the serving layer shares one scheduler (and hence one
     cache) across concurrent request threads, so the read-check-evict
     sequence in :meth:`put` must be atomic — without the lock, two
     threads can both observe a full store and both evict, and on a
     one-entry cache the second ``next(iter(...))`` raises
-    ``StopIteration`` on the emptied dict.  Entries are assumed to come
-    from schedulers with the same candidate set; schedulers with
-    different candidate restrictions must not share a cache.
+    ``StopIteration`` on the emptied dict.
     """
 
     def __init__(self, maxsize: int = 1024) -> None:
@@ -91,16 +120,28 @@ class DecisionCache:
         track_shared(self, ("_store",))
 
     @staticmethod
-    def key(p: DatasetProfile, batch_k: int = 1) -> Tuple:
-        return tuple(_quantise(v) for v in p.as_vector()) + (int(batch_k),)
+    def key(p: DatasetProfile, batch_k: int = 1, scope: Tuple = ()) -> Tuple:
+        return (
+            tuple(_quantise(v) for v in p.as_vector())
+            + (int(batch_k),)
+            + tuple(scope)
+        )
 
-    def get(self, p: DatasetProfile, batch_k: int = 1) -> Optional[str]:
-        key = self.key(p, batch_k)
+    def get(
+        self, p: DatasetProfile, batch_k: int = 1, scope: Tuple = ()
+    ) -> Optional[str]:
+        key = self.key(p, batch_k, scope)
         with self._lock:
             return self._store.get(key)
 
-    def put(self, p: DatasetProfile, fmt: str, batch_k: int = 1) -> None:
-        key = self.key(p, batch_k)
+    def put(
+        self,
+        p: DatasetProfile,
+        fmt: str,
+        batch_k: int = 1,
+        scope: Tuple = (),
+    ) -> None:
+        key = self.key(p, batch_k, scope)
         with self._lock:
             if key not in self._store and len(self._store) >= self.maxsize:
                 # FIFO eviction: oldest insertion order (dicts preserve
@@ -141,21 +182,20 @@ class LayoutScheduler:
         (SpMM) workloads such as the fused dual-row SMO path
         (``batch_k=2``).
     cache:
-        Optional shared decision cache.
+        Optional decision cache, safe to share between schedulers of
+        any strategy and candidate set.
     candidates:
-        Formats the scheduler decides among (default: the paper's
-        five).  Extended formats (CSC, BCSR) may be included for the
-        probe/hybrid strategies — their fitness depends on structure
-        the nine-parameter profile does not capture (column stats,
-        block fill), so only empirical probing can rank them.  The
-        *cost* strategy accepts any subset of ``ANALYTIC_FORMATS`` —
-        the five basic formats plus SELL and the reordered layouts
-        (RCSR/RELL/RSELL), all of which the analytic model prices,
-        including the reordering's scatter overhead — which is how the
-        serving layer pins decisions to the bitwise-exact kernel family
-        and how ``repro bench sell`` adds "reorder + SELL" to the race;
-        the rules strategy's decision list is fixed and accepts no
-        restriction.
+        The formats a decision may return, for every strategy and
+        every source (default: the paper's five, the ``paper``
+        family).  The model prices the ``analytic`` part of the set;
+        the hybrid strategy shortlists from that part and probes the
+        shortlist together with the unpriced formats (CSC, BCSR),
+        whose fitness depends on structure the nine-parameter profile
+        does not capture.  The *cost* strategy therefore accepts only
+        subsets of ``ANALYTIC_FORMATS`` — which is how the serving
+        layer pins decisions to its exact families and how ``repro
+        bench sell`` adds "reorder + SELL" to the race; the rules
+        strategy's decision list is fixed and accepts no restriction.
     """
 
     def __init__(
@@ -178,30 +218,26 @@ class LayoutScheduler:
             raise ValueError("shortlist must be >= 1")
         if batch_k < 1:
             raise ValueError("batch_k must be >= 1")
-        if candidates is not None:
+        if candidates is None:
+            candidates = FORMAT_NAMES
+        else:
             if not candidates:
                 raise ValueError("candidates must be non-empty")
-            for c in candidates:
-                format_class(c)  # validate eagerly
-            from repro.core.cost_model import ANALYTIC_FORMATS
-
-            analytic_only = all(
-                c.upper() in ANALYTIC_FORMATS for c in candidates
-            )
+            candidates = tuple(format_class(c).name for c in candidates)
             if strategy == "rules":
                 raise ValueError(
                     "the rules strategy decides with a fixed decision "
                     "list and cannot restrict candidates; use the "
                     "cost, probe or hybrid strategy"
                 )
-            if strategy == "cost" and not analytic_only:
-                raise ValueError(
-                    "extended candidates (CSC/BCSR) require the probe "
-                    "or hybrid strategy (the analytic model only ranks "
-                    "the basic formats plus SELL and the reordered "
-                    "layouts)"
-                )
-            candidates = tuple(c.upper() for c in candidates)
+        priced = tuple(c for c in candidates if c in ANALYTIC_FORMATS)
+        if strategy == "cost" and priced != candidates:
+            raise ValueError(
+                "extended candidates (CSC/BCSR) require the probe "
+                "or hybrid strategy (the analytic model only ranks "
+                "the basic formats plus SELL and the reordered "
+                "layouts)"
+            )
         self.strategy = strategy
         self.cost_model = CostModel(calibration)
         self.thresholds = thresholds or RuleThresholds()
@@ -209,7 +245,11 @@ class LayoutScheduler:
         self.shortlist = shortlist
         self.batch_k = batch_k
         self.cache = cache if cache is not None else DecisionCache()
-        self.candidates = tuple(candidates) if candidates else None
+        self.candidates: Tuple[str, ...] = candidates
+        #: The part of ``candidates`` the cost model can price.
+        self.priced = priced
+        #: This scheduler's slice of a (possibly shared) DecisionCache.
+        self.cache_scope = (strategy,) + candidates
 
     # -- deciding -------------------------------------------------------
     def decide_from_coo(
@@ -232,246 +272,170 @@ class LayoutScheduler:
         tracer = get_tracer()
         with tracer.span("schedule.decide") as sp:
             profile = profile_from_coo(rows, cols, shape)
-            tuned = self._tuned_format(profile)
-            cached = (
-                None if tuned is not None
-                else self.cache.get(profile, self.batch_k)
-            )
-            if tuned is not None:
-                # Warm tuning-cache key: the measured-best format for
-                # this (machine, profile bucket, batch_k) — no analytic
-                # pricing on the decision path.  Not memoised in the
-                # DecisionCache so the provenance stays visible; the
-                # tuning-cache lookup *is* the memo.
-                decision = Decision(
-                    fmt=tuned,
-                    strategy=self.strategy,
-                    reason=(
-                        "measured-best format from the persisted "
-                        "tuning cache"
-                    ),
-                    profile=profile,
-                    cached=True,
-                    source="tuned",
-                )
-                measured: Dict[str, float] = {}
-            elif cached is not None:
-                decision = Decision(
-                    fmt=cached,
-                    strategy=self.strategy,
-                    reason="cached decision for an equivalent profile",
-                    profile=profile,
-                    cached=True,
-                )
-                measured: Dict[str, float] = {}
-            else:
-                decision, measured = self._decide_uncached(
-                    profile, rows, cols, values, shape
-                )
-                self.cache.put(profile, decision.fmt, self.batch_k)
+            coo = (rows, cols, values, shape)
+            decision = self._decide(profile, self.batch_k, coo)
             if tracer.enabled:
                 sp.set("strategy", decision.strategy)
                 sp.set("fmt", decision.fmt)
                 sp.set("cached", decision.cached)
-                sp.set("batch_k", self.batch_k)
+                sp.set("batch_k", decision.batch_k)
                 sp.set("source", decision.source)
-            self._audit(decision, measured, rows, cols, values, shape)
+            self._audit(decision, coo)
         return decision
 
-    def _tuned_format(self, profile: DatasetProfile) -> Optional[str]:
-        """The persisted tuning cache's pick for this profile, if any.
+    def decide_profile(
+        self, profile: DatasetProfile, *, batch_k: int
+    ) -> Decision:
+        """Decide from a profile alone, at an explicit ``batch_k``.
 
-        A warm key must also survive the scheduler's own restrictions:
-        the stored format has to be one this scheduler is allowed to
-        choose (candidate set) — otherwise the key is treated as cold
-        and the configured strategy decides, unchanged.
+        The same decision path as :meth:`decide_from_coo`, for callers
+        that hold a format-invariant profile rather than triples (the
+        serving rescheduler).  Not audited: the caller records the
+        decisions its own policy acts on (:meth:`Decision.record`).
+        Strategies that must measure (probe, and a hybrid shortlist of
+        more than one) raise ``ValueError`` here.
+        """
+        return self._decide(profile, batch_k)
+
+    def _decide(
+        self,
+        profile: DatasetProfile,
+        batch_k: int,
+        coo: Optional[CooTriples] = None,
+    ) -> Decision:
+        """The one place a profile becomes a format.
+
+        Sources, in order: a warm persisted tuning-cache key whose
+        format is a candidate (not memoised in the DecisionCache, so
+        its provenance stays visible — the tuning-cache lookup *is*
+        the memo), then this scheduler's DecisionCache entry, then the
+        configured strategy.
         """
         from repro.tune.cache import tuned_format
 
-        fmt = tuned_format(profile, batch_k=self.batch_k)
-        if fmt is None:
-            return None
-        allowed = self.candidates or FORMAT_NAMES
-        return fmt if fmt in allowed else None
+        predicted = {
+            fc.fmt: fc.cost
+            for fc in self.cost_model.rank(
+                profile, self.priced, batch_k=batch_k
+            )
+        }
+        common = dict(
+            strategy=self.strategy,
+            profile=profile,
+            batch_k=batch_k,
+            predicted=predicted,
+        )
+        tuned = tuned_format(profile, batch_k=batch_k)
+        if tuned in self.candidates:
+            return Decision(
+                fmt=tuned,
+                reason="measured-best format from the persisted tuning cache",
+                cached=True,
+                source="tuned",
+                **common,
+            )
+        cached = self.cache.get(profile, batch_k, self.cache_scope)
+        if cached is not None:
+            return Decision(
+                fmt=cached,
+                reason="cached decision for an equivalent profile",
+                cached=True,
+                **common,
+            )
+        fmt, reason, measured = self._run_strategy(profile, predicted, coo)
+        self.cache.put(profile, fmt, batch_k, self.cache_scope)
+        return Decision(
+            fmt=fmt,
+            reason=reason,
+            source="probe" if measured else "analytic",
+            measured=measured,
+            **common,
+        )
 
-    def _decide_uncached(
+    def _run_strategy(
         self,
         profile: DatasetProfile,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        shape: Tuple[int, int],
-    ) -> Tuple[Decision, Dict[str, float]]:
-        """Run the configured strategy; returns ``(decision, measured)``
-        where ``measured`` holds any probe timings the strategy took
-        anyway (free audit measurements for probe/hybrid)."""
-        measured: Dict[str, float] = {}
+        predicted: Dict[str, float],
+        coo: Optional[CooTriples],
+    ) -> Tuple[str, str, Dict[str, float]]:
+        """The configured strategy; returns ``(fmt, reason, measured)``
+        where ``measured`` holds the probe timings it took, if any."""
         if self.strategy == "rules":
             rd = rule_based_choice(profile, self.thresholds)
-            decision = Decision(
-                fmt=rd.fmt,
-                strategy="rules",
-                reason=f"rule '{rd.rule}': {rd.reason}",
-                profile=profile,
-            )
-        elif self.strategy == "cost":
-            ranked = self.cost_model.rank(
-                profile, self.candidates, batch_k=self.batch_k
-            )
+            return rd.fmt, f"rule '{rd.rule}': {rd.reason}", {}
+        ranked = list(predicted.items())
+        if self.strategy == "cost":
+            fmt, cost = ranked[0]
             if len(ranked) > 1:
+                runner, runner_cost = ranked[1]
                 reason = (
-                    f"model cost {ranked[0].cost:.3g} vs runner-up "
-                    f"{ranked[1].fmt} at {ranked[1].cost:.3g}"
+                    f"model cost {cost:.3g} vs runner-up "
+                    f"{runner} at {runner_cost:.3g}"
                 )
             else:
-                reason = (
-                    f"model cost {ranked[0].cost:.3g} "
-                    f"(only candidate)"
-                )
-            decision = Decision(
-                fmt=ranked[0].fmt,
-                strategy="cost",
-                reason=reason,
-                profile=profile,
-            )
-        elif self.strategy == "probe":
-            results = self.tuner.probe(
-                rows, cols, values, shape, self.candidates
-            )
-            measured = {r.fmt: r.median_seconds for r in results}
-            decision = Decision(
-                fmt=results[0].fmt,
-                strategy="probe",
-                reason=(
-                    f"measured {results[0].median_seconds * 1e6:.1f} us/SMSV "
-                    f"on {results[0].probe_rows} probe rows"
-                ),
-                profile=profile,
-                source="probe",
-            )
-        else:  # hybrid
-            from repro.core.cost_model import ANALYTIC_FORMATS
-
-            if self.candidates and all(
-                c in ANALYTIC_FORMATS for c in self.candidates
-            ):
-                # analytically-rankable restriction: the model ranks
-                # exactly the allowed set, the probe decides among its
-                # cheapest
-                short = [
-                    c.fmt
-                    for c in self.cost_model.rank(
-                        profile, self.candidates, batch_k=self.batch_k
-                    )[: self.shortlist]
-                ]
-            else:
-                short = self.cost_model.shortlist(
-                    profile, self.shortlist, batch_k=self.batch_k
-                )
-                if self.candidates:
-                    # extended candidates join the probe round directly
-                    short = list(
-                        dict.fromkeys(
-                            short
-                            + [
-                                c
-                                for c in self.candidates
-                                if c not in short
-                            ]
-                        )
-                    )
+                reason = f"model cost {cost:.3g} (only candidate)"
+            return fmt, reason, {}
+        if self.strategy == "probe":
+            short = list(self.candidates)
+        else:  # hybrid: the model's shortlist plus the unpriced formats
+            short = [f for f, _ in ranked[: self.shortlist]] + [
+                c for c in self.candidates if c not in predicted
+            ]
             if len(short) == 1:
-                decision = Decision(
-                    fmt=short[0],
-                    strategy="hybrid",
-                    reason="cost model shortlist of one",
-                    profile=profile,
-                )
-            else:
-                results = self.tuner.probe(rows, cols, values, shape, short)
-                measured = {r.fmt: r.median_seconds for r in results}
-                decision = Decision(
-                    fmt=results[0].fmt,
-                    strategy="hybrid",
-                    reason=(
-                        f"probed model shortlist {short}; "
-                        f"{results[0].fmt} measured fastest"
-                    ),
-                    profile=profile,
-                    source="probe",
-                )
+                return short[0], "cost model shortlist of one", {}
+        if coo is None:
+            raise ValueError(
+                f"the {self.strategy} strategy measures {short} and "
+                "needs the matrix, not only its profile"
+            )
+        results = self.tuner.probe(*coo, short)
+        measured = {r.fmt: r.median_seconds for r in results}
+        best = results[0]
+        if self.strategy == "probe":
+            reason = (
+                f"measured {best.median_seconds * 1e6:.1f} us/SMSV "
+                f"on {best.probe_rows} probe rows"
+            )
+        else:
+            reason = (
+                f"probed model shortlist {short}; "
+                f"{best.fmt} measured fastest"
+            )
+        return best.fmt, reason, measured
 
-        return decision, measured
-
-    def _audit(
-        self,
-        decision: Decision,
-        measured: Dict[str, float],
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        shape: Tuple[int, int],
-    ) -> None:
+    def _audit(self, decision: Decision, coo: CooTriples) -> None:
         """Leave the decision's audit record (regret inputs included).
 
         ``predicted`` always carries the analytic model's view of the
-        rankable candidates.  ``measured`` is whatever the strategy
+        priced candidates.  ``measured`` is whatever the strategy
         probed anyway; when tracing is on and the strategy did not
-        probe, the candidates are measured here — once per quantised
-        profile key (:meth:`AuditLog.seen_measurement`), so traced
-        test suites pay for one probe per distinct shape, not one per
-        ``schedule()`` call.
+        probe, the priced candidates are measured here — once per
+        quantised profile key (:meth:`AuditLog.seen_measurement`), so
+        traced test suites pay for one probe per distinct shape, not
+        one per ``schedule()`` call.  The measurement lands in the
+        record only; the returned decision is unchanged.
         """
-        from repro.core.cost_model import ANALYTIC_FORMATS
-
         log = audit_log()
-        profile = decision.profile
-        rankable = tuple(
-            c
-            for c in (self.candidates or FORMAT_NAMES)
-            if c in ANALYTIC_FORMATS
-        )
-        predicted: Dict[str, float] = {}
-        if rankable:
-            predicted = {
-                fc.fmt: fc.cost
-                for fc in self.cost_model.rank(
-                    profile, rankable, batch_k=self.batch_k
-                )
-            }
         tracer = get_tracer()
-        key = DecisionCache.key(profile, self.batch_k)
-        if measured:
+        key = DecisionCache.key(decision.profile, decision.batch_k)
+        if decision.measured:
             log.mark_measured(key)
         elif (
             tracer.enabled
             and not decision.cached
-            and rankable
+            and self.priced
             and not log.seen_measurement(key)
         ):
             with tracer.span("schedule.measure") as sp:
-                results = self.tuner.probe(
-                    rows, cols, values, shape, rankable
+                results = self.tuner.probe(*coo, self.priced)
+                decision = replace(
+                    decision,
+                    measured={r.fmt: r.median_seconds for r in results},
                 )
-                measured = {r.fmt: r.median_seconds for r in results}
                 if tracer.enabled:
-                    sp.set("formats", len(measured))
+                    sp.set("formats", len(results))
             log.mark_measured(key)
-        log.record(
-            DecisionRecord(
-                source="schedule",
-                dataset=current_dataset(),
-                strategy=decision.strategy,
-                batch_k=self.batch_k,
-                chosen=decision.fmt,
-                reason=decision.reason,
-                cached=decision.cached,
-                features=profile.as_dict(),
-                predicted=predicted,
-                measured=measured,
-                decision_source=decision.source,
-            )
-        )
+        log.record(decision.record("schedule"))
 
     def decide(self, matrix: MatrixFormat) -> Decision:
         """Decide the layout for an already-stored matrix."""
@@ -500,8 +464,6 @@ class LayoutScheduler:
             thousands of iterations.
         """
         decision = self.decide(matrix)
-        from repro.core.cost_model import ANALYTIC_FORMATS
-
         hint_applicable = (
             iterations_hint is not None
             and decision.fmt != matrix.name
@@ -516,17 +478,14 @@ class LayoutScheduler:
             iterations_hint,
             batch_k=self.batch_k,
         ):
-            decision = Decision(
+            decision = replace(
+                decision,
                 fmt=matrix.name,
-                strategy=decision.strategy,
                 reason=(
                     f"{decision.fmt} predicted fastest, but converting "
                     f"from {matrix.name} would not amortise over "
                     f"{iterations_hint} iterations; staying put"
                 ),
-                profile=decision.profile,
-                cached=decision.cached,
-                source=decision.source,
             )
             return matrix, decision
         return convert(matrix, decision.fmt), decision

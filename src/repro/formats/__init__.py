@@ -42,13 +42,13 @@ from repro.formats.sell import (
 from repro.formats.reorder import (
     PermutedMatrix,
     RCSRMatrix,
-    RELLMatrix,
     RSELLMatrix,
     invert_permutation,
     sigma_window_permutation,
 )
 from repro.formats.convert import (
     FORMAT_CLASSES,
+    FORMAT_FAMILIES,
     convert,
     format_class,
     from_dense,
@@ -79,11 +79,11 @@ __all__ = [
     "slice_widths_for",
     "PermutedMatrix",
     "RCSRMatrix",
-    "RELLMatrix",
     "RSELLMatrix",
     "sigma_window_permutation",
     "invert_permutation",
     "FORMAT_CLASSES",
+    "FORMAT_FAMILIES",
     "convert",
     "format_class",
     "from_dense",

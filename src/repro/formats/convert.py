@@ -9,12 +9,12 @@ the scheduler accounts for it via
 
 from __future__ import annotations
 
-from typing import Dict, Type, Union
+from typing import Dict, Tuple, Type, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.base import VALUE_DTYPE, MatrixFormat
+from repro.formats.base import FORMAT_NAMES, VALUE_DTYPE, MatrixFormat
 from repro.obs.trace import get_tracer
 from repro.formats.bcsr import BCSRMatrix
 from repro.formats.coo import COOMatrix
@@ -23,14 +23,14 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.dense import DenseMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix
-from repro.formats.reorder import RCSRMatrix, RELLMatrix, RSELLMatrix
+from repro.formats.reorder import RCSRMatrix, RSELLMatrix
 from repro.formats.sell import SELLMatrix
 
 #: Registry keyed by format name.  The first five are the paper's basic
 #: formats (the scheduler's default candidate set, ``FORMAT_NAMES``);
 #: CSC and BCSR are the derived formats Section III-A mentions, opt-in
-#: as extra candidates; SELL and the reordered layouts (RCSR / RELL /
-#: RSELL = SELL-C-sigma) are PR 4's padding-variance cures.
+#: as extra candidates; SELL and the reordered layouts (RCSR / RSELL =
+#: SELL-C-sigma) are the padding-variance cures.
 FORMAT_CLASSES: Dict[str, Type[MatrixFormat]] = {
     "DEN": DenseMatrix,
     "CSR": CSRMatrix,
@@ -41,8 +41,34 @@ FORMAT_CLASSES: Dict[str, Type[MatrixFormat]] = {
     "BCSR": BCSRMatrix,
     "SELL": SELLMatrix,
     "RCSR": RCSRMatrix,
-    "RELL": RELLMatrix,
     "RSELL": RSELLMatrix,
+}
+
+#: The named candidate families, declared here once; every module that
+#: restricts a decision imports its family from this table.  Order
+#: inside a family matters: cost-model rank ties break by input order.
+#:
+#: ``paper``     the five basic layouts of Section III-A, the
+#:               scheduler's default candidate set (``FORMAT_NAMES``).
+#: ``analytic``  the formats the analytic cost model prices: ``paper``
+#:               plus SELL and the reordered layouts.  CSC and BCSR
+#:               depend on structure the profile does not capture, so
+#:               only a probe can rank them.
+#: ``serve``     canonical float64 values, each row accumulated in
+#:               ascending column order: a layout swap inside the family
+#:               is bitwise on sparse row/query overlaps (at most two
+#:               non-zero products per sum) and within 1 ULP otherwise.
+#:               BLAS-backed DEN and BCSR re-associate freely and are
+#:               excluded.
+#: ``bitwise``   kernels that reduce exactly CSR's product array in
+#:               CSR's order (the reordered wrappers only scatter
+#:               finished row sums), so a swap is bitwise on any
+#:               overlap.
+FORMAT_FAMILIES: Dict[str, Tuple[str, ...]] = {
+    "paper": FORMAT_NAMES,
+    "analytic": FORMAT_NAMES + ("SELL", "RCSR", "RSELL"),
+    "serve": ("CSR", "COO", "ELL", "DIA", "SELL", "RCSR", "RSELL"),
+    "bitwise": ("CSR", "SELL", "RCSR", "RSELL"),
 }
 
 

@@ -30,11 +30,14 @@ Concrete registered layouts:
     sigma-sorted rows over a SELL-C core: the full SELL-C-sigma
     layout.  Sorting makes slices internally uniform, so the per-slice
     padded lanes approach ``nnz / W``.
-``RELL``
-    sigma-sorted rows over an ELL core.  ELL pads to the *global* max
-    row length, which sorting cannot reduce — the cost model knows
-    this and essentially never picks RELL; it exists to make the
-    candidate space honest (reorder + {ELL, SELL} both priced).
+
+There is deliberately no reordered ELL.  ELL pads every row to the
+*global* max row length, which no row order can reduce, so a sorted
+ELL core does ELL's work plus the permutation scatter.  Priced with
+ELL's per-element, row and batch constants it costs ELL plus
+``reorder_scatter * M`` and loses to ELL on every non-empty profile;
+it fits no serving family, and ``repro bench sell``'s race, when it
+included one, picked only RSELL and RCSR.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from repro.formats.base import (
     validate_coo,
 )
 from repro.formats.csr import CSRMatrix
-from repro.formats.ell import ELLMatrix
 from repro.formats.sell import SELLMatrix
 from repro.perf.counters import OpCounter
 
@@ -242,14 +244,6 @@ class RCSRMatrix(PermutedMatrix):
 
     name = "RCSR"
     inner_cls = CSRMatrix
-    default_sigma = None
-
-
-class RELLMatrix(PermutedMatrix):
-    """Globally length-sorted rows over an ELL core."""
-
-    name = "RELL"
-    inner_cls = ELLMatrix
     default_sigma = None
 
 

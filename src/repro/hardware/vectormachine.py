@@ -110,7 +110,6 @@ class VectorMachine:
         # format's gather rate dominates.
         "SELL": 0.25,
         "RCSR": 0.25,
-        "RELL": 0.25,
         "RSELL": 0.25,
     }
 
@@ -214,7 +213,7 @@ class VectorMachine:
             padded = int(matrix.padded_elements)  # type: ignore[attr-defined]
             matrix_bytes = padded * (_VB + _IB) + (widths.shape[0] + 1) * 8
             percol_bytes = padded * _VB
-        elif fmt in ("RCSR", "RELL", "RSELL"):
+        elif fmt in ("RCSR", "RSELL"):
             # Permutation-transparent wrapper: the stored core pays its
             # own streams; transparency adds the permutation stream
             # (once per sweep) and a scattered output write per column.

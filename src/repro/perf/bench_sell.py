@@ -6,7 +6,7 @@ padding beats both ELL's global padding and CSR's lockstep row groups):
 
 1. **headline** — for each suite matrix, the cost-strategy scheduler
    picks among the sparse analytic candidates (the paper's four sparse
-   formats plus SELL and the reordered RCSR/RELL/RSELL layouts); the
+   formats plus SELL and the reordered RCSR/RSELL layouts); the
    pick's modelled seconds on the :class:`~repro.hardware.vectormachine.
    VectorMachine` SIMD model are compared against the best *fixed,
    unreordered* sparse format (CSR/COO/ELL/DIA).  The acceptance
@@ -44,7 +44,7 @@ from repro.data.synthetic import (
     powerlaw_rows_matrix,
 )
 from repro.features import extract_profile, layout_features
-from repro.formats.convert import convert
+from repro.formats.convert import FORMAT_FAMILIES, convert
 from repro.formats.csr import CSRMatrix
 from repro.formats.reorder import RCSRMatrix, RSELLMatrix
 from repro.hardware import VectorMachine, get_machine
@@ -57,15 +57,18 @@ HEADLINE_CRITERION = 1.4
 #: The modelled platform (wide-SIMD, the paper's Xeon Phi class).
 MACHINE = "knl"
 
-#: Sparse formats the scheduler decides among for this suite.  DEN is
-#: deliberately excluded: the race is between sparse layouts, and the
-#: densest suite member would otherwise degenerate to a dense argmin.
-SPARSE_CANDIDATES: Tuple[str, ...] = (
-    "CSR", "COO", "ELL", "DIA", "SELL", "RCSR", "RELL", "RSELL",
-)
+#: Sparse formats the scheduler decides among for this suite: the
+#: serving family, which is exactly the analytic family without DEN.
+#: DEN is deliberately excluded: the race is between sparse layouts,
+#: and the densest suite member would otherwise degenerate to a dense
+#: argmin.
+SPARSE_CANDIDATES: Tuple[str, ...] = FORMAT_FAMILIES["serve"]
 
-#: The fixed, unreordered baselines the headline compares against.
-FIXED_BASELINES: Tuple[str, ...] = ("CSR", "COO", "ELL", "DIA")
+#: The fixed, unreordered baselines the headline compares against: the
+#: paper's formats inside the serving family.
+FIXED_BASELINES: Tuple[str, ...] = tuple(
+    f for f in SPARSE_CANDIDATES if f in FORMAT_FAMILIES["paper"]
+)
 
 SIGMA_SWEEP: Tuple[Optional[int], ...] = (32, 256, None)
 CHUNK_SWEEP: Tuple[int, ...] = (4, 8, 16, 32)

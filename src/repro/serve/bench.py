@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.cost_model import CostModel
 from repro.data.synthetic import bimodal_rows_matrix, uniform_rows_matrix
 from repro.features.extract import extract_profile
+from repro.formats.base import FORMAT_NAMES
 from repro.formats.csr import CSRMatrix
 from repro.perf.bench_smsv import _paired_ratio
 from repro.serve.engine import (
@@ -92,13 +93,15 @@ def synthetic_model(
     )
 
 
-#: The unreordered half of the exact serving family.  The reschedule
-#: *demo* restricts itself to these four: with the full candidate set
-#: the sorted layouts (RSELL) dominate the bimodal demo matrix at
-#: every batch width, so no crossover exists to demonstrate.  The
-#: SELL-family runtime flip has its own coverage (``repro bench
-#: sell``'s SMO gate and ``tests/serve/test_sell_flip.py``).
-CLASSIC_SERVE_FORMATS: Tuple[str, ...] = ("CSR", "COO", "ELL", "DIA")
+#: The paper's formats inside the exact serving family (CSR, COO, ELL,
+#: DIA).  The reschedule *demo* restricts itself to these four: with
+#: the full candidate set the sorted layouts (RSELL) dominate the
+#: bimodal demo matrix at every batch width, so no crossover exists to
+#: demonstrate.  The SELL-family runtime flip has its own coverage
+#: (``repro bench sell``'s SMO gate and ``tests/serve/test_sell_flip.py``).
+CLASSIC_SERVE_FORMATS: Tuple[str, ...] = tuple(
+    f for f in EXACT_SERVE_FORMATS if f in FORMAT_NAMES
+)
 
 
 def flip_model(*, seed: int = 0) -> ServedModel:

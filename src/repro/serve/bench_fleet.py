@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.formats.convert import FORMAT_FAMILIES
 from repro.serve.admission import AdmissionController
 from repro.serve.bench import synthetic_model
 from repro.serve.engine import InferenceEngine, ServedModel
@@ -62,13 +63,11 @@ ZERO_COPY_RATIO = 1.5
 #: requests while the door sheds ~half the offered load.
 OVERLOAD_P99_MS = 25.0
 
-#: The strict-bitwise serving family: kernels that reduce exactly
-#: CSR's product array in CSR's order, so a mid-stream flip between
-#: them is bitwise invisible on *any* row/query overlap (see
-#: ``repro.serve.engine.EXACT_SERVE_FORMATS``'s docstring — COO, ELL
-#: and DIA only guarantee this on sparse overlaps).  Replica
-#: re-schedulers in the bitwise experiments draw from this family.
-STRONG_BITWISE_FORMATS: Tuple[str, ...] = ("CSR", "SELL", "RCSR", "RSELL")
+#: The strict-bitwise serving family (``FORMAT_FAMILIES["bitwise"]``):
+#: a flip between its formats is bitwise invisible on *any* row/query
+#: overlap.  Replica re-schedulers in the bitwise experiments draw from
+#: this family.
+STRONG_BITWISE_FORMATS: Tuple[str, ...] = FORMAT_FAMILIES["bitwise"]
 
 _N_FEATURES = 160
 

@@ -47,31 +47,15 @@ import numpy as np
 
 from repro.analysis.race import make_lock, track_shared
 from repro.formats.base import MatrixFormat, SparseVector
-from repro.formats.convert import convert, format_class
+from repro.formats.convert import FORMAT_FAMILIES, convert, format_class
 from repro.obs.trace import get_tracer
 from repro.perf.counters import OpCounter
 from repro.svm.kernels import Kernel
 
-#: The serving candidate family: formats whose SMSV/SpMM kernels keep
-#: canonical float64 values and accumulate each row in ascending column
-#: order.  Within the family a layout swap preserves predictions
-#: bitwise on sparse row/query overlaps (≤2 non-zero products per sum)
-#: and to 1 ULP otherwise; BLAS-backed formats (DEN, BCSR) re-associate
-#: freely and are excluded.  SELL and the permutation-transparent
-#: sorted layouts (RCSR, RSELL) qualify with a *stronger* guarantee:
-#: their kernels reduce exactly CSR's product array in CSR's order (the
-#: wrapper only scatters finished row sums), so a swap between CSR,
-#: SELL, RCSR and RSELL is bitwise invisible on any overlap, not just
-#: sparse ones.  See the module docstring.
-EXACT_SERVE_FORMATS: Tuple[str, ...] = (
-    "CSR",
-    "COO",
-    "ELL",
-    "DIA",
-    "SELL",
-    "RCSR",
-    "RSELL",
-)
+#: The serving candidate family, ``FORMAT_FAMILIES["serve"]``: its
+#: exactness contract is declared with it in :mod:`repro.formats.convert`
+#: and explained in the module docstring.
+EXACT_SERVE_FORMATS: Tuple[str, ...] = FORMAT_FAMILIES["serve"]
 
 
 @dataclass(frozen=True)

@@ -10,23 +10,29 @@ re-invokes the :class:`~repro.core.scheduler.LayoutScheduler` at the
 observed effective ``batch_k``, and tells the engine to convert when
 the winner changed by enough to matter.
 
-Candidates are restricted to
+The rescheduler is policy only: *when* to re-decide (check cadence),
+*at what width* (the histogram) and *whether the win is worth a swap*
+(``min_gain`` hysteresis).  *What* format wins is one profile-level
+:meth:`~repro.core.scheduler.LayoutScheduler.decide_profile` call —
+the same tuning-cache / decision-cache / strategy path every
+training-time decision takes — and the hysteresis reads its costs from
+the returned decision.  Candidates default to
 :data:`~repro.serve.engine.EXACT_SERVE_FORMATS` so a swap can never
-perturb predictions (the bitwise-identical kernel family); the matrix
-profile is format-invariant and cached once.
+perturb predictions; the matrix profile is format-invariant and cached
+once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, List, Optional, Tuple
 
 from repro.analysis.race import make_lock, track_shared
 from repro.core.scheduler import LayoutScheduler
 from repro.features.extract import extract_profile
 from repro.formats.base import MatrixFormat
-from repro.obs.audit import DecisionRecord, audit_log, current_dataset
+from repro.obs.audit import audit_log
 from repro.obs.trace import get_tracer
 from repro.serve.engine import EXACT_SERVE_FORMATS
 
@@ -90,8 +96,13 @@ class FormatRescheduler:
         whose costs straddle the crossover.
     candidates:
         Formats the runtime decision may pick.  Defaults to the
-        bitwise-exact serving family; callers who do not need bitwise
+        exact serving family; callers who do not need bitwise
         stability across swaps may widen it.
+    scheduler:
+        The scheduler that decides (default: the cost strategy over
+        ``candidates``).  It decides from the profile alone, so it
+        must not need a probe (see
+        :meth:`~repro.core.scheduler.LayoutScheduler.decide_profile`).
     """
 
     def __init__(
@@ -128,46 +139,23 @@ class FormatRescheduler:
         Decided at the tuned expected batch width when the persisted
         tuning cache is warm for this machine and shape class (the
         width the machine's serving traffic was measured at), else at
-        ``batch_k=1``.  A warm measured-best *format* entry short-
-        circuits the analytic ranking entirely — provided it stays
-        inside this rescheduler's candidate family, so warm-up can
-        never step outside the bitwise-exact serving formats.
+        ``batch_k=1``.  A tuned warm-up pick is audited like a flip so
+        `repro obs report` can split regret by source; an analytic
+        warm-up is not a runtime decision and leaves no record.
         """
-        from repro.tune.cache import tuned_format, tuned_value
+        from repro.tune.cache import tuned_value
 
         with self._lock:
             self._profile = extract_profile(matrix)
             k0 = tuned_value(
                 "batch_k", "batch_k", profile=self._profile, default=1
             )
-            self.scheduler.batch_k = k0
-            fmt = tuned_format(self._profile, batch_k=k0)
-            if fmt is not None and fmt in (self.scheduler.candidates or ()):
-                # Audit the warm-up pick like any other serve decision
-                # so `repro obs report` can split regret by source.
-                audit_log().record(
-                    DecisionRecord(
-                        source="serve",
-                        dataset=current_dataset(),
-                        strategy=self.scheduler.strategy,
-                        batch_k=k0,
-                        chosen=fmt,
-                        reason=(
-                            "warm-up: measured-best serving format "
-                            "from the persisted tuning cache"
-                        ),
-                        cached=True,
-                        features=self._profile.as_dict(),
-                        predicted={},
-                        measured={},
-                        decision_source="tuned",
-                    )
-                )
-                return fmt
-            ranked = self.scheduler.cost_model.rank(
-                self._profile, self.scheduler.candidates, batch_k=k0
+            decision = self.scheduler.decide_profile(
+                self._profile, batch_k=k0
             )
-            return ranked[0].fmt
+            if decision.source == "tuned":
+                audit_log().record(decision.record("serve"))
+            return decision.fmt
 
     # -- the runtime loop ------------------------------------------------
     def after_batch(
@@ -198,23 +186,20 @@ class FormatRescheduler:
         with tracer.span("serve.reschedule") as sp:
             if self._profile is None:
                 self._profile = extract_profile(matrix)
-            self.scheduler.batch_k = eff
-            ranked = self.scheduler.cost_model.rank(
-                self._profile, self.scheduler.candidates, batch_k=eff
+            decision = self.scheduler.decide_profile(
+                self._profile, batch_k=eff
             )
-            winner = ranked[0].fmt
+            winner = decision.fmt
             if tracer.enabled:
                 sp.set("effective_k", eff)
                 sp.set("from", matrix.name)
                 sp.set("winner", winner)
             if winner == matrix.name:
                 return None
-            current_cost = next(
-                (c.cost for c in ranked if c.fmt == matrix.name), None
-            )
-            if current_cost is not None and current_cost < ranked[
-                0
-            ].cost * (1.0 + self.min_gain):
+            cost = decision.predicted
+            current, best = cost.get(matrix.name), cost.get(winner)
+            priced = current is not None and best is not None
+            if priced and current < best * (1.0 + self.min_gain):
                 return None  # inside the hysteresis band; no swap
             event = RescheduleEvent(
                 batch_seq=self._batches_seen,
@@ -223,9 +208,9 @@ class FormatRescheduler:
                 to_fmt=winner,
                 reason=(
                     f"effective batch_k={eff}: model cost "
-                    f"{ranked[0].cost:.3g} ({winner}) vs "
-                    f"{current_cost:.3g} ({matrix.name})"
-                    if current_cost is not None
+                    f"{best:.3g} ({winner}) vs "
+                    f"{current:.3g} ({matrix.name})"
+                    if priced
                     else f"effective batch_k={eff}: {winner} ranked first"
                 ),
             )
@@ -234,17 +219,6 @@ class FormatRescheduler:
             # the same regret inputs as a training-time decision —
             # `repro obs report` shows them under source="serve".
             audit_log().record(
-                DecisionRecord(
-                    source="serve",
-                    dataset=current_dataset(),
-                    strategy=self.scheduler.strategy,
-                    batch_k=eff,
-                    chosen=winner,
-                    reason=event.reason,
-                    cached=False,
-                    features=self._profile.as_dict(),
-                    predicted={c.fmt: c.cost for c in ranked},
-                    measured={},
-                )
+                replace(decision, reason=event.reason).record("serve")
             )
             return event

@@ -236,19 +236,23 @@ def run_tune_bench(
         )
 
         # Informational: what one warm scheduling decision costs once
-        # the cache is hot (a fingerprint-keyed dict probe).
+        # the cache is hot (a fingerprint-keyed dict probe plus the
+        # model costs every decision carries).
         m, n = (256, 128) if quick else (1024, 512)
         w_rows, w_cols, w_vals, w_shape = REPORT_DATASETS[0][1](m, n, seed)
         warm_sched = LayoutScheduler("cost", candidates=ANALYTIC_FORMATS)
-        warm_sched.decide_from_coo(w_rows, w_cols, w_vals, w_shape)
         from repro.features.extract import profile_from_coo
 
         warm_profile = profile_from_coo(w_rows, w_cols, w_shape)
         lookups = 64 if quick else 256
         t0 = time.perf_counter()
-        for _ in range(lookups):
-            warm_sched._tuned_format(warm_profile)
+        warm_hits = sum(
+            warm_sched.decide_profile(warm_profile, batch_k=1).source
+            == "tuned"
+            for _ in range(lookups)
+        )
         warm_lookup_ns = (time.perf_counter() - t0) / lookups * 1e9
+        warm_source_tuned = warm_source_tuned and warm_hits == lookups
 
         gate_pass = bool(
             tuned_not_slower

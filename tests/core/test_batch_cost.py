@@ -123,5 +123,5 @@ class TestSchedulerBatchK:
         d1 = s1.decide_from_coo(rows, cols, vals, shape)
         d2 = s2.decide_from_coo(rows, cols, vals, shape)
         # d2 must not have been served from d1's entry.
-        assert s1.cache.get(d1.profile, 1) == d1.fmt
-        assert s1.cache.get(d2.profile, 2) == d2.fmt
+        assert s1.cache.get(d1.profile, 1, s1.cache_scope) == d1.fmt
+        assert s1.cache.get(d2.profile, 2, s2.cache_scope) == d2.fmt

@@ -113,8 +113,30 @@ class TestScheduler:
         cache = DecisionCache()
         m = from_dense(small_sparse, "CSR")
         LayoutScheduler("cost", cache=cache).decide(m)
-        d = LayoutScheduler("rules", cache=cache).decide(m)
+        d = LayoutScheduler("cost", cache=cache).decide(m)
         assert d.cached
+        # a different strategy owns a different slice of the cache
+        assert not LayoutScheduler("rules", cache=cache).decide(m).cached
+
+    def test_shared_cache_respects_candidate_sets(self):
+        # A default scheduler's DEN must not leak into one whose
+        # candidates exclude it; the restricted scheduler decides as if
+        # its cache were fresh.
+        dense = np.ones((64, 32))
+        rows, cols = np.nonzero(dense)
+        coo = (rows, cols, dense[rows, cols], dense.shape)
+        restricted = ("CSR", "SELL", "RCSR", "RSELL")
+        cache = DecisionCache()
+        assert LayoutScheduler("cost", cache=cache).decide_from_coo(
+            *coo
+        ).fmt == "DEN"
+        shared = LayoutScheduler(
+            "cost", cache=cache, candidates=restricted
+        ).decide_from_coo(*coo)
+        fresh = LayoutScheduler(
+            "cost", candidates=restricted
+        ).decide_from_coo(*coo)
+        assert shared.fmt == fresh.fmt == "SELL"
 
     def test_convenience_function(self, small_sparse):
         m, d = schedule_layout(from_dense(small_sparse, "DEN"), "cost")

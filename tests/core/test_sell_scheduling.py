@@ -62,13 +62,6 @@ class TestCostModel:
             > model.cost("SELL", uniform_profile).cost
         )
 
-    def test_rell_never_beats_ell(self, highvar_profile, uniform_profile):
-        model = CostModel()
-        for p in (highvar_profile, uniform_profile):
-            assert (
-                model.cost("RELL", p).cost > model.cost("ELL", p).cost
-            )
-
     def test_sell_elements_between_nnz_and_ell(self, highvar_profile):
         model = CostModel()
         p = highvar_profile

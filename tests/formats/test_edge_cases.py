@@ -7,7 +7,7 @@ from repro.features import profile_from_dense
 from repro.formats import FORMAT_NAMES, SparseVector, convert, from_dense
 
 
-ALL_FORMATS = FORMAT_NAMES + ("CSC", "BCSR", "SELL", "RCSR", "RELL", "RSELL")
+ALL_FORMATS = FORMAT_NAMES + ("CSC", "BCSR", "SELL", "RCSR", "RSELL")
 
 
 class TestEmptyAndTiny:

@@ -77,7 +77,7 @@ def test_sell_any_chunk_bitwise_equals_csr(triples, chunk, seed):
 
 @given(
     triples=powerlaw_triples(),
-    fmt=st.sampled_from(FORMAT_NAMES + EXACT + ("RELL",)),
+    fmt=st.sampled_from(FORMAT_NAMES + EXACT),
     k=st.integers(min_value=1, max_value=4),
     seed=st.integers(0, 2**16),
 )

@@ -20,7 +20,7 @@ from repro.formats.storage import storage_elements_analytic
 #: PR 4 layouts ride along in every invariant the analytic-storage
 #: test does not cover (their storage is instance-dependent and is
 #: asserted in test_sell.py / test_reorder.py instead).
-EXTENDED_NAMES = FORMAT_NAMES + ("SELL", "RCSR", "RELL", "RSELL")
+EXTENDED_NAMES = FORMAT_NAMES + ("SELL", "RCSR", "RSELL")
 
 
 @st.composite

@@ -5,8 +5,7 @@ in the *original* index space — callers cannot tell rows were
 reordered.  For the CSR- and SELL-backed wrappers the agreement with
 the unpermuted CSR reference is bitwise (the stored kernels reduce
 CSR's product array in CSR's order; the wrapper only scatters finished
-row sums).  The ELL-backed wrapper inherits ELL's documented 1-ULP
-einsum tolerance.
+row sums).
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.reorder import (
     PermutedMatrix,
     RCSRMatrix,
-    RELLMatrix,
     RSELLMatrix,
     invert_permutation,
     sigma_window_permutation,
@@ -84,14 +82,7 @@ class TestTransparency:
         V = rng.standard_normal((shape[1], k))
         assert np.array_equal(wrapped.matmat(V), ref.matmat(V))
 
-    def test_rell_within_one_ulp(self, triples, rng):
-        rows, cols, vals, shape = triples
-        ref = CSRMatrix.from_coo(rows, cols, vals, shape)
-        wrapped = RELLMatrix.from_coo(rows, cols, vals, shape)
-        x = rng.standard_normal(shape[1])
-        assert np.allclose(wrapped.matvec(x), ref.matvec(x), atol=1e-12)
-
-    @pytest.mark.parametrize("cls", BITWISE_WRAPPERS + (RELLMatrix,))
+    @pytest.mark.parametrize("cls", BITWISE_WRAPPERS)
     def test_rows_in_original_index_space(self, triples, cls):
         rows, cols, vals, shape = triples
         ref = CSRMatrix.from_coo(rows, cols, vals, shape)
@@ -143,7 +134,7 @@ class TestTransparency:
 
 
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("cls", BITWISE_WRAPPERS + (RELLMatrix,))
+    @pytest.mark.parametrize("cls", BITWISE_WRAPPERS)
     def test_empty_and_zero_row_shapes(self, cls):
         e = np.empty(0, dtype=np.int64)
         for shape in [(0, 4), (5, 4)]:
@@ -164,9 +155,7 @@ class TestDegenerateShapes:
 
 
 class TestSanitizer:
-    @pytest.mark.parametrize(
-        "cls", BITWISE_WRAPPERS + (RELLMatrix, PermutedMatrix)
-    )
+    @pytest.mark.parametrize("cls", BITWISE_WRAPPERS + (PermutedMatrix,))
     def test_healthy_wrapper_passes(self, triples, cls):
         rows, cols, vals, shape = triples
         m = cls.from_coo(rows, cols, vals, shape)

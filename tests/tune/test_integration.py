@@ -129,7 +129,7 @@ class TestSchedulerWiring:
         _warm_format(profile, fmt="ell")
         sched = LayoutScheduler("cost")
         sched.decide_from_coo(rows, cols, vals, shape)
-        assert sched.cache.get(profile, sched.batch_k) is None
+        assert sched.cache.get(profile, sched.batch_k, sched.cache_scope) is None
 
 
 class TestServeWarmup:
@@ -141,7 +141,6 @@ class TestServeWarmup:
         resched = FormatRescheduler()
         matrix = CSRMatrix.from_coo(rows, cols, vals, shape)
         assert resched.initial_format(matrix) == "SELL"
-        assert resched.scheduler.batch_k == 8
         rec = audit_log().records(source="serve")[-1]
         assert rec.decision_source == "tuned"
         assert rec.batch_k == 8
