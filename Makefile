@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: lint race test test-sanitize test-trace test-race bench bench-sell serve-bench bench-obs bench-obs-fleet bench-fleet obs-report-smoke tune tune-smoke wall-bench-smoke check
+.PHONY: lint race test test-sanitize test-trace test-race bench bench-smoke obs-report-smoke tune wall-bench-smoke check
 
 ## Static analysis: the twelve RDL rules over the whole tree, JSON
 ## mode, non-zero exit on any finding.  See docs/analysis.md.
@@ -38,45 +38,24 @@ test-trace:
 test-race:
 	REPRO_RACE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q tests/serve tests/parallel tests/obs tests/analysis
 
-## SpMM benchmark suite (writes BENCH_smsv.json); `make bench QUICK=1`
-## for the CI smoke variant.
+## One timed suite through the one harness (src/repro/perf/harness.py):
+## `make bench SUITE=sell` writes BENCH_sell.json; QUICK=1 for the
+## small smoke shapes.  Suites: smsv, sell, serve, obs.  Exit 1 exactly
+## when an enforced gate fails (sell's modelled speedup, obs's three
+## disabled-path overhead quotients); wall-clock ratios that a shared
+## host cannot hold are recorded with `enforced: false`.
+SUITE ?= smsv
 bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench smsv $(if $(QUICK),--quick)
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench $(SUITE) $(if $(QUICK),--quick)
 
-## SELL-C-sigma benchmark suite (writes BENCH_sell.json): scheduled
-## reordered layouts vs fixed formats, the (sigma, C) trajectory and
-## the bitwise SMO gate.  `make bench-sell QUICK=1` for the CI smoke
-## variant.
-bench-sell:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench sell $(if $(QUICK),--quick)
-
-## Serving benchmark suite (writes BENCH_serve.json): batched-vs-
-## unbatched throughput plus the mid-stream re-schedule demo.
-## `make serve-bench QUICK=1` for the CI smoke variant.
-serve-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench serve $(if $(QUICK),--smoke)
-
-## Tracing-overhead gate (writes BENCH_obs.json): disabled-mode span
-## cost must stay under 2% of one SMSV call, and the no-op singleton
-## checks are deterministic.  `make bench-obs QUICK=1` for the CI
-## smoke variant (same gate, smaller matrix).
-bench-obs:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench obs $(if $(QUICK),--quick)
-
-## Fleet observability gate (writes BENCH_obs.json): traced answers
-## bitwise vs untraced, merged timeline covers every worker lane with
-## valid cross-process parents, SLO breach + flight dump fire
-## deterministically.  `make bench-obs-fleet QUICK=1` for the CI
-## smoke variant.
-bench-obs-fleet:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench obs --fleet $(if $(QUICK),--smoke)
-
-## Fleet benchmark suite (writes BENCH_fleet.json): multi-worker
-## virtual-throughput scaling, zero-copy transport accounting and the
-## overload admission bound — all deterministic, so the suite gates.
-## `make bench-fleet QUICK=1` for the CI smoke variant.
-bench-fleet:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench fleet $(if $(QUICK),--smoke)
+## Every suite in the harness's table in quick mode, as CI's
+## bench-smoke job runs them; fails when any suite's enforced gate does.
+bench-smoke:
+	rc=0; \
+	for suite in $$(PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "from repro.perf.harness import SUITES; print(*SUITES)"); do \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench $$suite --quick || rc=1; \
+	done; \
+	exit $$rc
 
 ## Decision-audit smoke: the five-dataset regret report (predicted vs
 ## measured per-format costs, one audit record each) as JSON.  Non-zero
@@ -89,14 +68,6 @@ obs-report-smoke:
 ## where the scheduler and kernels consult them.
 tune:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro tune
-
-## Tuning gate (writes BENCH_tune.json): tuned knobs never slower than
-## the analytic defaults on their own measurements, warm-cache format
-## decisions deterministic and served from the persisted cache, cold
-## buckets falling back to the analytic model unchanged.  The cache is
-## pinned to a temp file so the run never touches ~/.cache.
-tune-smoke:
-	REPRO_TUNE_CACHE=$$(mktemp -d)/tune.json PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench tune --smoke
 
 ## Wall-clock benchmark smoke (BENCHMARK.json's command): the bench
 ## package's own tests, then every workload for a fixed 2 s with all

@@ -17,8 +17,8 @@ check:
   of them a write, holding **disjoint** locksets, are a potential data
   race and produce a :class:`RaceReport` in a bounded buffer.
 
-Zero-cost-when-disabled contract (the same bargain the tracer makes,
-gated by ``repro bench obs``): with ``REPRO_RACE`` unset,
+Zero-cost-when-disabled contract (the same bargain the tracer makes;
+the cost is gated by ``repro bench obs``): with ``REPRO_RACE`` unset,
 :func:`make_lock` returns an ordinary ``threading.Lock`` and
 :func:`track_shared` returns its argument untouched — no wrapper
 types, no descriptors, nothing on any hot path.

@@ -9,8 +9,8 @@ train     train an adaptive SVM on a LIBSVM file and report accuracy
 serve     simulate an online serving session (micro-batching + runtime
           layout re-scheduling) and report metrics; ``--workers N``
           serves through the sharded multi-process fleet instead
-bench     run a synthetic benchmark suite (smsv, sell, serve, obs,
-          fleet, tune)
+bench     run a timed benchmark suite (smsv, sell, serve, obs) and
+          write its record; exit 1 when an enforced gate fails
 tune      measured-time knob search (SELL chunk, sigma window, batch
           width, partition granularity, workers, SMO row cache);
           winners persist to ``~/.cache/repro/tune.json`` where the
@@ -394,98 +394,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    smoke = args.smoke or args.quick
-    rc = 0
-    if args.what == "smsv":
-        from repro.perf.bench_smsv import (
-            render_summary,
-            run_suite,
-            write_report,
-        )
+    from repro.perf.harness import SUITES, render, run_suite, write_record
 
-        payload = run_suite(quick=smoke, repeats=args.repeats)
-        out = args.out or "BENCH_smsv.json"
-    elif args.what == "sell":
-        from repro.perf.bench_sell import (
-            render_summary,
-            run_suite,
-            write_report,
-        )
-
-        payload = run_suite(
-            quick=smoke, samples=args.repeats, seed=args.bench_seed
-        )
-        out = args.out or "BENCH_sell.json"
-        # Deterministic criteria (modelled speedup + bitwise SMO
-        # agreement) — safe to gate on, unlike wall-clock suites.
-        rc = 0 if payload["headline"]["pass"] else 1
-    elif args.what == "obs" and args.fleet:
-        from repro.obs.bench_fleet import (
-            render_summary,
-            run_suite,
-            write_report,
-        )
-
-        payload = run_suite(quick=smoke, repeats=args.repeats)
-        out = args.out or "BENCH_obs.json"
-        # Bitwise traced-vs-untraced equality, lane completeness,
-        # parent resolution and the forced SLO breach are all
-        # deterministic — safe to gate on.
-        rc = 0 if payload["headline"]["pass"] else 1
-    elif args.what == "obs":
-        from repro.obs.bench import (
-            render_summary,
-            run_suite,
-            write_report,
-        )
-
-        payload = run_suite(quick=smoke, repeats=args.repeats)
-        out = args.out or "BENCH_obs.json"
-        # The no-op-singleton checks are deterministic and the timing
-        # gate has 4x headroom over true span cost — safe to gate on.
-        rc = 0 if payload["headline"]["pass"] else 1
-    elif args.what == "tune":
-        from repro.tune.bench import (
-            render_summary,
-            run_suite,
-            write_report,
-        )
-
-        payload = run_suite(
-            quick=smoke, repeats=args.repeats, seed=args.bench_seed
-        )
-        out = args.out or "BENCH_tune.json"
-        # All three gate parts are deterministic (incumbent protection
-        # makes "tuned never slower" an invariant of the search, and
-        # the decision checks compare values, not timings) — safe to
-        # gate on.
-        rc = 0 if payload["headline"]["pass"] else 1
-    elif args.what == "fleet":
-        from repro.serve.bench_fleet import (
-            render_summary,
-            run_suite,
-            write_report,
-        )
-
-        payload = run_suite(smoke=smoke, samples=args.repeats)
-        out = args.out or "BENCH_fleet.json"
-        # Virtual-clock throughput scaling, bitwise replay agreement,
-        # zero-copy byte accounting and the admission bound are all
-        # deterministic — safe to gate on.
-        rc = 0 if payload["headline"]["pass"] else 1
-    else:
-        from repro.serve.bench import (
-            render_summary,
-            run_suite,
-            write_report,
-        )
-
-        payload = run_suite(smoke=smoke, samples=args.repeats)
-        out = args.out or "BENCH_serve.json"
-    write_report(payload, out)
-    print(render_summary(payload))
+    rec = run_suite(
+        args.what, quick=args.quick, repeats=args.repeats,
+        seed=args.bench_seed,
+    )
+    out = args.out or SUITES[args.what][1]
+    write_record(rec, out)
+    print(render(rec))
     print(f"report      : {out}")
-    return rc
+    return 0 if rec["pass"] else 1
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -500,11 +419,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.core.autotune import AutoTuner
-    from repro.core.cost_model import ANALYTIC_FORMATS
     from repro.tune.cache import tune_cache
-    from repro.tune.search import ProbeContext, TuneSearch
-    from repro.tune.space import FORMAT_FAMILY, KNOB_FAMILIES, SPACES
+    from repro.tune.search import tune_datasets
+    from repro.tune.space import KNOB_FAMILIES, SPACES
 
     if args.families:
         families = []
@@ -531,58 +448,31 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     else:
         from repro.obs.report import REPORT_DATASETS
 
-        datasets = []
-        for name, build in REPORT_DATASETS:
-            rows, cols, vals, shape = build(1024, 512, args.seed)
-            datasets.append((name, rows, cols, vals, shape))
+        datasets = [
+            (name, *build(1024, 512, args.seed))
+            for name, build in REPORT_DATASETS
+        ]
 
     cache = tune_cache()
-    data_families = [f for f in families if not SPACES[f].machine_wide]
-    machine_families = [f for f in families if SPACES[f].machine_wide]
-    tuner = AutoTuner(repeats=3, seed=args.seed)
-    payload: dict = {"cache": str(cache.path), "datasets": {}}
-    for index, (name, rows, cols, vals, shape) in enumerate(datasets):
-        ctx = ProbeContext(rows, cols, vals, shape, seed=args.seed)
-        search = TuneSearch(seed=args.seed, budget=args.budget)
-        run = list(data_families)
-        if index == 0:
-            run += machine_families  # machine-wide: tuned once per box
-        results = search.tune(ctx, run)
-        for family, r in results.items():
-            cache.put(
-                family,
-                r.best,
-                profile=ctx.profile,
-                stats={
-                    "median_seconds": r.best_seconds,
-                    "default_seconds": r.default_seconds,
-                    "fidelity": r.fidelity,
-                },
-            )
-        probed = tuner.probe(rows, cols, vals, shape, ANALYTIC_FORMATS)
-        cache.put(
-            FORMAT_FAMILY,
-            {"fmt": probed[0].fmt, "batch_k": 1},
-            profile=ctx.profile,
-            stats={"median_seconds": probed[0].median_seconds},
-        )
-        payload["datasets"][name] = {
-            "bucket": cache.bucket_for(FORMAT_FAMILY, ctx.profile),
-            "format": probed[0].fmt,
-            "families": {f: r.as_dict() for f, r in results.items()},
-            "budget_spent": search.spent,
-        }
-        if not args.json:
-            fams = "  ".join(
-                f"{f} {dict(r.best)}"
-                + (f" x{r.speedup:.2f}" if r.improved else " (=default)")
-                for f, r in results.items()
-            )
-            print(f"{name:12s}: format {probed[0].fmt:5s}  {fams}")
+    tuned = tune_datasets(
+        datasets, families, cache=cache, seed=args.seed, budget=args.budget
+    )
     if args.json:
+        for d in tuned.values():
+            d["families"] = {
+                f: r.as_dict() for f, r in d["families"].items()
+            }
+        payload = {"cache": str(cache.path), "datasets": tuned}
         print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"cache       : {cache.path} ({len(cache)} entries)")
+        return 0
+    for name, d in tuned.items():
+        fams = "  ".join(
+            f"{f} {dict(r.best)}"
+            + (f" x{r.speedup:.2f}" if r.improved else " (=default)")
+            for f, r in d["families"].items()
+        )
+        print(f"{name:12s}: format {d['format']:5s}  {fams}")
+    print(f"cache       : {cache.path} ({len(cache)} entries)")
     return 0
 
 
@@ -977,28 +867,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run a synthetic benchmark suite and write a JSON report",
+        help="run a timed benchmark suite and write its JSON record",
     )
+    from repro.perf.harness import SUITES
+
     p.add_argument(
         "what",
-        choices=("smsv", "sell", "serve", "obs", "fleet", "tune"),
+        choices=tuple(SUITES),
         help="which suite to run (smsv: blocked SpMM + fused dual-row; "
-        "sell: scheduled SELL-C-sigma vs fixed formats + SMO bitwise "
-        "gate; serve: micro-batched serving throughput + re-schedule "
-        "demo; obs: disabled-mode tracing overhead gate; fleet: multi-"
-        "worker scaling + zero-copy transport + overload admission; "
-        "tune: measured knob search vs analytic defaults + warm-cache "
-        "decision determinism)",
+        "sell: scheduled SELL-C-sigma vs fixed formats; serve: micro-"
+        "batched serving throughput; obs: disabled-mode "
+        "instrumentation overhead)",
     )
     p.add_argument(
         "--quick",
         action="store_true",
         help="one small shape, fewer repeats (CI smoke mode)",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --quick",
     )
     p.add_argument(
         "--repeats",
@@ -1017,17 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="bench_seed",
         type=int,
         default=0,
-        help="generator seed offset for the sell suite (default 0 — "
-        "the pinned seeds the published numbers use; other suites "
-        "ignore it)",
-    )
-    p.add_argument(
-        "--fleet",
-        action="store_true",
-        help="for the obs suite: the full fleet gate — traced-vs-"
-        "untraced bitwise equality on a multi-process fleet, merged-"
-        "timeline completeness, and the deterministic SLO-breach -> "
-        "flight-dump path (other suites ignore it)",
+        help="generator seed offset (default 0 — the pinned seeds the "
+        "committed records use)",
     )
     p.set_defaults(func=_cmd_bench)
 

@@ -18,9 +18,8 @@ The observability layer the rest of the repo reports into:
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text, and
   chrome://tracing exporters (single- and multi-process);
 * :mod:`repro.obs.report` — the ``repro obs report`` regret suite;
-* :mod:`repro.obs.bench` / :mod:`repro.obs.bench_fleet` — the
-  disabled-mode overhead gate and the fleet observability gate
-  (``repro bench obs [--fleet]``).
+* :mod:`repro.obs.bench` — the disabled-mode overhead gate
+  (``repro bench obs``).
 """
 
 from repro.obs.audit import (
@@ -99,8 +98,8 @@ from repro.obs.trace import (
     trace_enabled,
 )
 
-# report/bench sit above the formats/data layers that themselves
-# import repro.obs, so they must resolve lazily to keep this package
+# report sits above the formats/data layers that themselves import
+# repro.obs, so it must resolve lazily to keep this package
 # importable from the bottom of the stack.
 _LAZY = {
     "REPORT_DATASET_NAMES": "repro.obs.report",
@@ -108,9 +107,6 @@ _LAZY = {
     "report_payload": "repro.obs.report",
     "run_report": "repro.obs.report",
     "tracer_health": "repro.obs.report",
-    "run_overhead_bench": "repro.obs.bench",
-    "run_fleet_trace_gate": "repro.obs.bench_fleet",
-    "run_slo_flight_gate": "repro.obs.bench_fleet",
 }
 
 
@@ -180,10 +176,7 @@ __all__ = [
     "render_report",
     "render_slo",
     "report_payload",
-    "run_fleet_trace_gate",
-    "run_overhead_bench",
     "run_report",
-    "run_slo_flight_gate",
     "span_tree",
     "spans_to_chrome_trace",
     "spans_to_jsonl",

@@ -1,73 +1,63 @@
-"""The disabled-mode tracing overhead gate (``repro bench obs``).
+"""The disabled-mode overhead gate (``repro bench obs``).
 
 The tracer's contract is that instrumentation left permanently in hot
-paths is *free when disabled*.  This bench checks that two ways:
+paths is *free when disabled*.  Structurally that means a disabled
+tracer hands out the process no-op singleton and records nothing, a
+disabled race sanitizer hands out a plain ``threading.Lock`` and
+``track`` is the identity, and a disabled flight ring retains nothing;
+those checks cannot flake, so they are tests
+(``tests/obs/test_trace.py``, ``tests/analysis/test_race_sanitizer.py``,
+``tests/obs/test_flight.py``).
 
-1. **Deterministically**: a disabled tracer must hand out the process
-   no-op singleton from every ``span()`` call (identity, not equality
-   — zero allocation) and must record nothing.  These checks cannot
-   flake and are the primary gate.
-2. **Empirically**: the disabled span's per-entry cost is measured
-   directly in a tight loop (nanoseconds, stable even on a loaded
-   box), the bare SMSV kernel's per-call cost is measured the same
-   way, and the gate is their quotient: one disabled span per kernel
-   call must cost under the threshold (default 2 %) of the call.
-   Gating on the quotient of two *directly measured* costs — instead
-   of the difference of two nearly-equal end-to-end timings — is what
-   keeps a 2 % gate stable on a single-core CI container where
-   run-to-run kernel jitter alone exceeds 5 %.  The end-to-end
-   interleaved ratio is still reported, as information.
+This suite measures what is left: the cost of each disabled call site.
+The disabled span's per-entry cost is measured directly in a tight
+loop (nanoseconds, stable even on a loaded box), the bare SMSV
+kernel's per-call cost is measured the same way, and each gate is
+their quotient: one disabled span per kernel call must cost under the
+threshold (2 %) of the call.  Gating on the quotient of two *directly
+measured* costs — instead of the difference of two nearly-equal
+end-to-end timings — is what keeps a 2 % gate stable on a single-core
+CI container where run-to-run kernel jitter alone exceeds 5 %.  The
+end-to-end ratio is still recorded, as information.  The race
+sanitizer's ``enabled`` guard (the branch that stays in the parallel
+kernel path) and a disabled flight-recorder ``record()`` call are
+gated the same way.
 
-The race sanitizer (``REPRO_RACE``) makes the same free-when-disabled
-promise and is gated here the same two ways: deterministically
-(disabled :func:`~repro.analysis.race.RaceSanitizer.make_lock` must
-hand out a *plain* ``threading.Lock`` — the exact built-in type, no
-wrapper — and disabled ``track`` must return the object untouched,
-class unchanged) and empirically (the per-call cost of the
-``enabled`` guard that stays in the parallel kernel path must be
-under the same threshold fraction of one SMSV call).
-
-``pass`` requires all of it; the payload lands in ``BENCH_obs.json``
-and CI's ``obs-overhead-smoke`` job gates on it.
+The record (schema in :mod:`repro.perf.harness`) lands in
+``BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
-import threading
-import time
-from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional
 
 from repro.analysis.race import RaceSanitizer
 from repro.data.synthetic import uniform_rows_matrix
 from repro.formats.csr import CSRMatrix
 from repro.obs.flight import FlightRecorder
-from repro.obs.trace import NOOP_SPAN, Tracer
+from repro.obs.trace import Tracer
+from repro.perf.harness import Gate, record
+from repro.perf.timers import benchmark
 
-#: Disabled-mode overhead gate: span cost as a fraction of one SMSV
-#: kernel call (0.02 = the 2 % budget).
+#: Disabled-mode overhead gate: a disabled call site's cost as a
+#: fraction of one SMSV kernel call (0.02 = the 2 % budget).
 OVERHEAD_THRESHOLD = 0.02
 
 
-def run_overhead_bench(
-    *,
-    quick: bool = False,
-    rounds: int = 9,
-    calls: int = 64,
-    seed: int = 0,
-    threshold: float = OVERHEAD_THRESHOLD,
+def run(
+    *, quick: bool = False, repeats: Optional[int] = None, seed: int = 0
 ) -> Dict[str, Any]:
-    """Measure disabled-span overhead on the SMSV hot path.
+    """Measure disabled-instrumentation overhead on the SMSV hot path.
 
-    Uses a private disabled :class:`Tracer` so the result is
-    independent of ``REPRO_TRACE`` in the environment — the question
+    ``repeats`` is the number of timed rounds per loop (default 9).
+    Uses private disabled :class:`Tracer`, :class:`RaceSanitizer` and
+    :class:`FlightRecorder` instances so the result is independent of
+    ``REPRO_TRACE``/``REPRO_RACE`` in the environment — the question
     is what *disabled* instrumentation costs, wherever the global
-    tracer happens to be.
+    switches happen to be.
     """
-    if rounds < 1 or calls < 1:
-        raise ValueError("rounds and calls must be >= 1")
+    rounds = 9 if repeats is None else repeats
+    calls = 64
     # quick shrinks only the matrix, never the round count — with a
     # smaller per-round time the gate needs MORE samples, not fewer,
     # to keep timer jitter out of the ratio.
@@ -80,38 +70,8 @@ def run_overhead_bench(
     v = matrix.row(0)  # the SMO access pattern: a row as the query
 
     tracer = Tracer(enabled=False)
-    # Deterministic gate: disabled span() returns the shared no-op
-    # singleton — same object every call, nothing allocated, nothing
-    # recorded.
-    noop_singleton = (
-        tracer.span("bench.smsv") is NOOP_SPAN
-        and tracer.span("bench.smsv") is tracer.span("other")
-    )
-
-    # Same contract, race sanitizer: disabled make_lock() hands out
-    # the exact built-in lock type (no wrapper in any with-block that
-    # guards a hot path), and disabled track() is the identity — the
-    # instance keeps its own class, no descriptors installed.
     race = RaceSanitizer(enabled=False)
-    race_plain_lock = type(race.make_lock("bench")) is type(
-        threading.Lock()
-    )
-
-    # Third free-when-disabled contract, the flight recorder: record()
-    # on a disabled ring must be a bare predicate — no clock read, no
-    # lock, nothing retained.
     flight = FlightRecorder(enabled=False)
-    flight.record("bench")
-    flight_disabled_noop = len(flight) == 0 and flight.dropped == 0
-    probe = CSRMatrix.from_coo(rows, cols, values, shape)
-    probe_cls = type(probe)
-    race_track_identity = (
-        race.track(probe, ("values",)) is probe
-        and type(probe) is probe_cls
-        and not race.reports()
-    )
-
-    clock = time.perf_counter
 
     # The gated quantity: what one disabled span entry/exit costs,
     # measured in a tight loop where the cost dominates the loop
@@ -147,146 +107,38 @@ def run_overhead_bench(
             with tracer.span("smo.iteration"):
                 matrix.smsv(v)
 
-    # Warm every path once (allocator, caches) before timing.
-    span_only()
-    race_guard_only()
-    flight_only()
-    bare()
-    instrumented()
-
-    t_span = []
-    t_race = []
-    t_flight = []
-    t_bare = []
-    t_inst = []
-    for _ in range(rounds):
-        t0 = clock()
-        span_only()
-        t_span.append(clock() - t0)
-        t0 = clock()
-        race_guard_only()
-        t_race.append(clock() - t0)
-        t0 = clock()
-        flight_only()
-        t_flight.append(clock() - t0)
-        t0 = clock()
-        bare()
-        t_bare.append(clock() - t0)
-        t0 = clock()
-        instrumented()
-        t_inst.append(clock() - t0)
-
+    t = {
+        fn.__name__: benchmark(fn, repeats=rounds, warmup=1)
+        for fn in (span_only, race_guard_only, flight_only, bare,
+                   instrumented)
+    }
     # Minimum, not median: scheduler noise only ever ADDS time, so the
     # fastest round is the cleanest estimate of each true cost.
-    span_per_call = min(t_span) / span_iters
-    race_per_call = min(t_race) / span_iters
-    flight_per_call = min(t_flight) / span_iters
-    bare_per_call = min(t_bare) / calls
-    overhead = (
-        span_per_call / bare_per_call if bare_per_call > 0 else 1.0
-    )
-    race_overhead = (
-        race_per_call / bare_per_call if bare_per_call > 0 else 1.0
-    )
-    flight_overhead = (
-        flight_per_call / bare_per_call if bare_per_call > 0 else 1.0
-    )
-    insitu_ratio = (
-        min(t_inst) / min(t_bare) if min(t_bare) > 0 else 1.0
-    )
-    nothing_recorded = len(tracer) == 0 and tracer.dropped == 0
-
-    return {
-        "suite": "obs-overhead",
-        "quick": quick,
-        "shape": [m, n],
-        "row_nnz": row_nnz,
-        "calls_per_round": calls,
-        "rounds": rounds,
-        "span_iters": span_iters,
-        "noop_singleton": bool(noop_singleton),
-        "nothing_recorded": bool(nothing_recorded),
-        "race_plain_lock": bool(race_plain_lock),
-        "race_track_identity": bool(race_track_identity),
-        "flight_disabled_noop": bool(flight_disabled_noop),
-        "span_cost_s": span_per_call,
-        "race_guard_cost_s": race_per_call,
-        "race_overhead_fraction": race_overhead,
-        "flight_cost_s": flight_per_call,
-        "flight_overhead_fraction": flight_overhead,
-        "smsv_cost_s": bare_per_call,
-        "bare_median_s": statistics.median(t_bare),
-        "instrumented_median_s": statistics.median(t_inst),
-        "insitu_ratio": insitu_ratio,
-        "overhead_fraction": overhead,
-        "threshold": threshold,
-        "headline": {
-            "pass": bool(
-                noop_singleton
-                and nothing_recorded
-                and race_plain_lock
-                and race_track_identity
-                and flight_disabled_noop
-                and overhead < threshold
-                and race_overhead < threshold
-                and flight_overhead < threshold
-            ),
-            "overhead_pct": overhead * 100.0,
-            "race_overhead_pct": race_overhead * 100.0,
-            "flight_overhead_pct": flight_overhead * 100.0,
-        },
+    smsv_cost = t["bare"].best / calls
+    costs = {
+        "span": t["span_only"].best / span_iters,
+        "race_guard": t["race_guard_only"].best / span_iters,
+        "flight": t["flight_only"].best / span_iters,
     }
-
-
-#: CLI-facing aliases matching the other bench suites' module shape.
-def run_suite(
-    *, quick: bool = False, repeats: int = None, seed: int = 0
-) -> Dict[str, Any]:
-    kwargs: Dict[str, Any] = {"quick": quick, "seed": seed}
-    if repeats is not None:
-        kwargs["rounds"] = repeats
-    return run_overhead_bench(**kwargs)
-
-
-def render_summary(payload: Dict[str, Any]) -> str:
-    h = payload["headline"]
-    lines = [
-        "obs overhead (disabled-mode tracing on the SMSV hot path)",
-        f"  shape       : {tuple(payload['shape'])} at "
-        f"{payload['row_nnz']} nnz/row, "
-        f"{payload['calls_per_round']} calls x {payload['rounds']} rounds",
-        f"  no-op span  : "
-        f"{'singleton' if payload['noop_singleton'] else 'ALLOCATES'}",
-        f"  recorded    : "
-        f"{'nothing' if payload['nothing_recorded'] else 'SPANS LEAKED'}",
-        f"  race locks  : "
-        f"{'plain' if payload['race_plain_lock'] else 'WRAPPED'}"
-        f" when disabled; track is "
-        f"{'identity' if payload['race_track_identity'] else 'NOT identity'}",
-        f"  span cost   : {payload['span_cost_s'] * 1e9:.0f} ns "
-        f"per disabled span",
-        f"  race guard  : {payload['race_guard_cost_s'] * 1e9:.0f} ns "
-        f"per disabled check",
-        f"  flight ring : "
-        f"{'no-op' if payload['flight_disabled_noop'] else 'RECORDS'}"
-        f" when disabled, {payload['flight_cost_s'] * 1e9:.0f} ns "
-        f"per disabled record",
-        f"  kernel cost : {payload['smsv_cost_s'] * 1e6:.1f} us "
-        f"per SMSV call",
-        f"  in-situ     : {(payload['insitu_ratio'] - 1) * 100:+.2f}% "
-        f"(interleaved end-to-end; informational)",
-        f"  overhead    : {h['overhead_pct']:.3f}% of one kernel call "
-        f"(gate < {payload['threshold'] * 100:.0f}%)",
-        f"  race ovhd   : {h['race_overhead_pct']:.3f}% of one kernel "
-        f"call (same gate)",
-        f"  flight ovhd : {h['flight_overhead_pct']:.3f}% of one "
-        f"kernel call (same gate)",
-        f"  pass        : {h['pass']}",
-    ]
-    return "\n".join(lines)
-
-
-def write_report(
-    payload: Dict[str, Any], path: Union[str, Path]
-) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    measured: Dict[str, Any] = {"smsv_cost_s": smsv_cost}
+    gates = []
+    for name, cost in costs.items():
+        fraction = cost / smsv_cost if smsv_cost > 0 else 1.0
+        measured[f"{name}_cost_s"] = cost
+        measured[f"{name}_overhead_fraction"] = fraction
+        gates.append(
+            Gate(f"{name}_overhead_fraction", fraction, "<",
+                 OVERHEAD_THRESHOLD)
+        )
+    measured.update(
+        bare_median_s=t["bare"].median,
+        instrumented_median_s=t["instrumented"].median,
+        insitu_ratio=(
+            t["instrumented"].best / t["bare"].best
+            if t["bare"].best > 0 else 1.0
+        ),
+    )
+    return record(
+        "obs", quick=quick, seed=seed, measured=measured, modelled={},
+        gates=gates,
+    )

@@ -6,9 +6,9 @@ recorder closes that gap the way avionics do: a small bounded ring of
 recent happenings (rebalances, SLO breaches, worker errors) is kept
 continuously, costs one predicate per call when disabled (the same
 free-when-disabled discipline as the span tracer and the race
-sanitizer, gated by ``repro bench obs``), and the whole ring — plus
-the tracer's recent spans and a metrics snapshot — is written to
-JSONL when something goes wrong:
+sanitizer; the cost is gated by ``repro bench obs``), and the whole
+ring — plus the tracer's recent spans and a metrics snapshot — is
+written to JSONL when something goes wrong:
 
 * a worker process crash (``fleet_worker_main`` dumps before dying),
 * ``SIGUSR1`` (``install_signal_dump``; poke a live process for its

@@ -13,7 +13,7 @@ window proves the problem is sustained, the short one proves it is
 
 A breach emits a tracer instant event, a flight-recorder entry, and
 (optionally) a full flight dump — the deterministic SLO-breach →
-flight-dump path ``repro bench obs --fleet`` gates on.  Burn rates
+flight-dump path ``tests/obs/test_slo.py`` checks.  Burn rates
 land in a metrics registry as gauges for scraping.
 
 Everything is clock-agnostic: observations carry their own timestamps

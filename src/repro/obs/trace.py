@@ -10,8 +10,8 @@ The tracer is built around one hard constraint: **instrumentation must
 be free when disabled**.  ``Tracer.span()`` on a disabled tracer
 returns a process-wide no-op singleton — no object is allocated, no
 clock is read, no context variable is touched — so hot paths can keep
-their spans permanently in place.  The ``obs-overhead`` bench and the
-RDL008 lint rule together enforce the discipline at the call sites:
+their spans permanently in place.  The ``repro bench obs`` gate and
+the RDL008 lint rule together enforce the discipline at the call sites:
 span names are constant strings, and attribute computation sits behind
 an ``if tracer.enabled`` guard.
 

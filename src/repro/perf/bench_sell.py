@@ -1,6 +1,6 @@
 """SELL-C-sigma benchmark: scheduled reordered layouts vs fixed formats.
 
-Three experiments on the high-row-variance synthetic suite (power-law
+Two experiments on the high-row-variance synthetic suite (power-law
 and bimodal row-length distributions — the shapes where per-slice
 padding beats both ELL's global padding and CSR's lockstep row groups):
 
@@ -9,29 +9,27 @@ padding beats both ELL's global padding and CSR's lockstep row groups):
    formats plus SELL and the reordered RCSR/RSELL layouts); the
    pick's modelled seconds on the :class:`~repro.hardware.vectormachine.
    VectorMachine` SIMD model are compared against the best *fixed,
-   unreordered* sparse format (CSR/COO/ELL/DIA).  The acceptance
-   criterion is a >= 1.4x median speedup.  Wall-clock paired ratios are
-   reported alongside as an informative column: NumPy's interpreter-
-   level kernels cannot express SIMD lane utilisation, so the modelled
-   time is the Fig. 4 substitution the rest of the reproduction uses.
+   unreordered* sparse format (CSR/COO/ELL/DIA).  The enforced gate is
+   a >= 1.4x median *modelled* speedup: NumPy's interpreter-level
+   kernels cannot express SIMD lane utilisation, so the modelled time
+   is the Fig. 4 substitution the rest of the reproduction uses.  The
+   *measured* wall-clock ratio of the same pick against the same
+   baseline is recorded beside it, under ``measured``.
 2. **trajectory** — padding ratio and modelled seconds of SELL-C-sigma
    across the sort-window ``sigma`` and slice height ``C``, showing the
    padding collapse as the window grows and the lane-utilisation
    plateau across C.
-3. **SMO gate** — one end-to-end SMO training run on the permuted
-   layout (RCSR) against the CSR reference: iterations, multipliers,
-   bias and the final optimality vector must be *bitwise* identical
-   (permutation transparency; see ``tests/formats/test_reorder.py``).
 
-Run via ``repro bench sell [--quick]``; results land in
-``BENCH_sell.json``.
+That SMO on the permuted layout (RCSR) is bitwise identical to the CSR
+reference is a correctness test (``tests/perf/test_bench_sell.py``),
+not part of this timed suite.
+
+Run via ``repro bench sell [--quick]``; the record (schema in
+:mod:`repro.perf.harness`) lands in ``BENCH_sell.json``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,17 +37,16 @@ import numpy as np
 from repro.core.scheduler import LayoutScheduler
 from repro.data.synthetic import (
     CooTriples,
-    attach_labels,
     bimodal_rows_matrix,
     powerlaw_rows_matrix,
 )
 from repro.features import extract_profile, layout_features
 from repro.formats.convert import FORMAT_FAMILIES, convert
 from repro.formats.csr import CSRMatrix
-from repro.formats.reorder import RCSRMatrix, RSELLMatrix
+from repro.formats.reorder import RSELLMatrix
 from repro.hardware import VectorMachine, get_machine
-from repro.svm.kernels import make_kernel
-from repro.svm.smo import smo_train
+from repro.perf.harness import Gate, record
+from repro.perf.timers import BenchmarkResult, paired_ratio
 
 #: The acceptance threshold for the scheduled-layout speedup.
 HEADLINE_CRITERION = 1.4
@@ -114,35 +111,6 @@ def _suite(quick: bool, seed: int = 0) -> List[Tuple[str, CooTriples]]:
     return cases[:1] if quick else cases
 
 
-def _paired_seconds(slow, fast, *, samples: int) -> Tuple[float, float, float]:
-    """Median interleaved ratio ``slow / fast`` plus per-call medians."""
-    for fn in (slow, fast):
-        fn()
-        fn()
-    ratios: List[float] = []
-    t_slow: List[float] = []
-    t_fast: List[float] = []
-    for _ in range(samples):
-        t0 = time.perf_counter()
-        slow()
-        a = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        fast()
-        b = time.perf_counter() - t0
-        ratios.append(a / max(b, 1e-12))
-        t_slow.append(a)
-        t_fast.append(b)
-    return _median(ratios), _median(t_slow), _median(t_fast)
-
-
-def _median(xs: Sequence[float]) -> float:
-    xs = sorted(xs)
-    mid = len(xs) // 2
-    if len(xs) % 2:
-        return xs[mid]
-    return 0.5 * (xs[mid - 1] + xs[mid])
-
-
 def run_headline(
     suite: Sequence[Tuple[str, CooTriples]],
     *,
@@ -167,7 +135,7 @@ def run_headline(
         best_fixed = min(fixed, key=fixed.get)
         baseline = convert(base, best_fixed)
         x = np.arange(shape[1], dtype=float) / shape[1]
-        wall_ratio, t_base_wall, t_pick_wall = _paired_seconds(
+        wall_ratio, t_base_wall, t_pick_wall = paired_ratio(
             lambda: baseline.matvec(x),
             lambda: picked.matvec(x),
             samples=samples,
@@ -225,125 +193,60 @@ def run_trajectory(
     return records
 
 
-def run_smo_gate(*, max_iter: int = 2000) -> Dict:
-    """End-to-end SMO on the permuted layout vs the CSR reference.
-
-    Trains the same Gaussian-kernel SVM on a CSR matrix and its RCSR
-    re-layout and demands *bitwise* agreement on every trajectory-
-    determining quantity.  This is the acceptance gate that the whole
-    reordering pipeline is permutation-transparent, not just the
-    kernels in isolation.
-    """
-    rows, cols, vals, shape = powerlaw_rows_matrix(
-        256, 128, alpha=1.7, min_nnz=4, max_nnz=64, seed=21
-    )
-    y = attach_labels((rows, cols, vals, shape), seed=3)
-    kernel = make_kernel("gaussian", gamma=0.5)
-    X_csr = CSRMatrix.from_coo(rows, cols, vals, shape)
-    X_rcsr = RCSRMatrix.from_coo(rows, cols, vals, shape)
-    ref = smo_train(X_csr, y, kernel, C=1.0, max_iter=max_iter)
-    got = smo_train(X_rcsr, y, kernel, C=1.0, max_iter=max_iter)
-    checks = {
-        "iterations_equal": ref.iterations == got.iterations,
-        "alpha_bitwise": bool(np.array_equal(ref.alpha, got.alpha)),
-        "bias_bitwise": ref.b == got.b,
-        "f_bitwise": bool(np.array_equal(ref.f, got.f)),
-        "support_equal": bool(
-            np.array_equal(
-                np.nonzero(ref.alpha > 1e-12)[0],
-                np.nonzero(got.alpha > 1e-12)[0],
-            )
-        ),
-    }
-    return {
-        "m": shape[0],
-        "n": shape[1],
-        "iterations": ref.iterations,
-        "n_support": ref.n_support,
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
+#: Per-matrix fields that are wall-clock measurements; the rest of a
+#: headline row is the cost model's and the SIMD model's.
+_WALLCLOCK_FIELDS = (
+    "wallclock_ratio",
+    "wallclock_baseline_seconds",
+    "wallclock_picked_seconds",
+)
 
 
-def run_suite(
-    *,
-    quick: bool = False,
-    samples: Optional[int] = None,
-    seed: int = 0,
+def run(
+    *, quick: bool = False, repeats: Optional[int] = None, seed: int = 0
 ) -> Dict:
-    """Run all three experiments; assemble the ``BENCH_sell.json`` payload.
+    """Run both experiments; return the ``BENCH_sell.json`` record.
 
-    The headline number is the *median* modelled speedup across the
-    suite.  The payload gates on two conditions: the speedup criterion
-    and the bitwise SMO agreement — failing either fails the bench.
+    ``repeats`` is the number of interleaved wall-clock samples per
+    matrix.  The gated number is the *median* modelled speedup across
+    the suite, which is deterministic.
     """
-    if samples is None:
-        samples = 5 if quick else 15
+    samples = repeats if repeats is not None else (5 if quick else 15)
     suite = _suite(quick, seed)
-    headline_records = run_headline(suite, samples=samples)
-    trajectory = run_trajectory(suite[0][1])
-    smo_gate = run_smo_gate(max_iter=500 if quick else 2000)
-    speedup = _median([r["modelled_speedup"] for r in headline_records])
-    return {
-        "meta": {
-            "suite": "sell",
-            "quick": quick,
-            "samples": samples,
-            "seed": seed,
+    rows = run_headline(suite, samples=samples)
+    modelled_speedup = BenchmarkResult(
+        [r["modelled_speedup"] for r in rows]
+    ).median
+    wallclock = [
+        {
+            "matrix": r["matrix"],
+            "picked_fmt": r["picked_fmt"],
+            "baseline_fmt": r["best_fixed_fmt"],
+            **{k: r[k] for k in _WALLCLOCK_FIELDS},
+        }
+        for r in rows
+    ]
+    return record(
+        "sell",
+        quick=quick,
+        seed=seed,
+        measured={
+            "wallclock": wallclock,
+            "wallclock_ratio": BenchmarkResult(
+                [r["wallclock_ratio"] for r in rows]
+            ).median,
+        },
+        modelled={
             "machine_model": MACHINE,
-            "candidates": list(SPARSE_CANDIDATES),
-            "fixed_baselines": list(FIXED_BASELINES),
-            "sigma_sweep": [s if s is not None else "global" for s in SIGMA_SWEEP],
-            "chunk_sweep": list(CHUNK_SWEEP),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
+            "picks": [
+                {k: v for k, v in r.items() if k not in _WALLCLOCK_FIELDS}
+                for r in rows
+            ],
+            "trajectory": run_trajectory(suite[0][1]),
+            "modelled_speedup": modelled_speedup,
         },
-        "headline_records": headline_records,
-        "trajectory": trajectory,
-        "smo_gate": smo_gate,
-        "headline": {
-            "scheduled_speedup": speedup,
-            "criterion": HEADLINE_CRITERION,
-            "smo_bitwise": smo_gate["pass"],
-            "pass": speedup >= HEADLINE_CRITERION and smo_gate["pass"],
-        },
-    }
-
-
-def write_report(payload: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def render_summary(payload: Dict) -> str:
-    lines = []
-    head = payload["headline"]
-    verdict = "PASS" if head["pass"] else "FAIL"
-    lines.append(
-        f"scheduled layout speedup (median, modelled): "
-        f"{head['scheduled_speedup']:.2f}x over best fixed format "
-        f"(criterion {head['criterion']:.1f}x) [{verdict}]"
+        gates=[
+            Gate("modelled_speedup", modelled_speedup, ">=",
+                 HEADLINE_CRITERION),
+        ],
     )
-    for r in payload["headline_records"]:
-        lines.append(
-            f"  {r['matrix']:<16} {r['picked_fmt']:<5} "
-            f"{r['modelled_speedup']:.2f}x vs {r['best_fixed_fmt']} "
-            f"(wall-clock {r['wallclock_ratio']:.2f}x, informative)"
-        )
-    gate = payload["smo_gate"]
-    gate_verdict = "PASS" if gate["pass"] else "FAIL"
-    lines.append(
-        f"SMO permuted-vs-CSR bitwise gate: {gate_verdict} "
-        f"({gate['iterations']} iterations, {gate['n_support']} SVs)"
-    )
-    best = min(
-        payload["trajectory"], key=lambda r: r["modelled_seconds"]
-    )
-    sigma = best["sigma"] if best["sigma"] is not None else "global"
-    lines.append(
-        f"best (C, sigma) in trajectory: C={best['chunk']} sigma={sigma} "
-        f"(sorted padding ratio {best['padding_ratio_sorted']:.3f})"
-    )
-    return "\n".join(lines)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 
 class Timer:
@@ -134,6 +134,44 @@ def benchmark(
         if n >= 10_000:  # safety valve for pathological min_time
             break
     return result
+
+
+def paired_ratio(
+    slow: Callable[[], object],
+    fast: Callable[[], object],
+    *,
+    samples: int,
+    batch_seconds: float = 0.01,
+) -> Tuple[float, float, float]:
+    """Median of interleaved per-sample time ratios ``slow / fast``.
+
+    Timing the two variants in separate windows lets CPU frequency
+    drift bias the ratio; alternating batches inside one loop makes
+    each sample a same-conditions comparison.  Each sample runs as many
+    calls as fill ``batch_seconds`` of ``slow``.  Returns
+    ``(ratio, slow_seconds, fast_seconds)`` with per-call medians.
+    """
+    for fn in (slow, fast):
+        fn()
+        fn()
+    t0 = time.perf_counter()
+    slow()
+    dt = time.perf_counter() - t0
+    reps = max(1, int(batch_seconds / max(dt, 1e-9)))
+    ratios, t_slow, t_fast = (BenchmarkResult() for _ in range(3))
+    for _ in range(samples):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            slow()
+        a = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fast()
+        b = time.perf_counter() - t0
+        ratios.samples.append(a / max(b, 1e-12))
+        t_slow.samples.append(a / reps)
+        t_fast.samples.append(b / reps)
+    return ratios.median, t_slow.median, t_fast.median
 
 
 def rank_by_median(

@@ -1,43 +1,41 @@
 """Serving benchmark: micro-batched vs unbatched throughput, plus the
 runtime re-scheduling demo.
 
-Two experiments, both on the synthetic generators:
-
-1. **throughput** — wall-clock, interleaved-pairs measurement (the
-   :func:`~repro.perf.bench_smsv._paired_ratio` discipline) of serving
-   ``k`` queries through one blocked engine sweep
+1. **throughput** (``repro bench serve [--quick]``, record in
+   ``BENCH_serve.json``) — wall-clock, interleaved-pairs measurement
+   (:func:`~repro.perf.timers.paired_ratio`) of serving ``k`` queries
+   through one blocked engine sweep
    (:meth:`~repro.serve.engine.InferenceEngine.predict`) against the
    same ``k`` queries through the single-vector path
    (:meth:`~repro.serve.engine.InferenceEngine.predict_one`), with the
-   matrix in the format the cost model picks *for that batch width*.
-   The headline is the median batched speedup at the widest ``k``; the
-   acceptance criterion is >= 1.5x.
+   matrix in the format the scheduler picks *for that batch width*.
+   The gated number is the median batched speedup at the widest
+   ``k``; its >= 1.5x criterion is recorded, not enforced, because it
+   is a wall-clock ratio.
 
-2. **re-schedule demo** — a deterministic virtual-time
-   :func:`~repro.serve.loadgen.phase_shift` workload on a bimodal-row
-   model whose cost ranking flips between effective batch widths 1 and
-   8.  The demo asserts that at least one runtime format re-schedule
-   fired and that every answer — across the mid-stream swap — is
-   bitwise identical to the unbatched, format-pinned reference.
-
-Run via ``repro bench serve [--smoke]``; results land in
-``BENCH_serve.json``.
+2. **re-schedule demo** (:func:`run_reschedule_demo`) — a deterministic
+   virtual-time :func:`~repro.serve.loadgen.phase_shift` workload on a
+   bimodal-row model whose cost ranking flips between effective batch
+   widths 1 and 8.  At least one runtime format re-schedule fires and
+   every answer — across the mid-stream swap — is bitwise identical to
+   the unbatched, format-pinned reference.  Being deterministic, it is
+   a test (``tests/core/test_golden_decisions.py``) rather than part
+   of the timed suite; ``repro serve`` runs the same model.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cost_model import CostModel
+from repro.core.scheduler import LayoutScheduler
 from repro.data.synthetic import bimodal_rows_matrix, uniform_rows_matrix
 from repro.features.extract import extract_profile
 from repro.formats.base import FORMAT_NAMES
 from repro.formats.csr import CSRMatrix
-from repro.perf.bench_smsv import _paired_ratio
+from repro.perf.harness import Gate, record
+from repro.perf.timers import BenchmarkResult, paired_ratio
 from repro.serve.engine import (
     EXACT_SERVE_FORMATS,
     InferenceEngine,
@@ -45,7 +43,6 @@ from repro.serve.engine import (
     ServedModel,
 )
 from repro.serve.loadgen import (
-    Workload,
     phase_shift,
     query_sampler,
     replay_unbatched,
@@ -63,10 +60,10 @@ FULL_SHAPES: Tuple[Tuple[int, int, int], ...] = (
     (1200, 400, 24),
     (2000, 600, 40),
 )
-SMOKE_SHAPES: Tuple[Tuple[int, int, int], ...] = ((600, 300, 16),)
+QUICK_SHAPES: Tuple[Tuple[int, int, int], ...] = ((600, 300, 16),)
 
 FULL_KS: Tuple[int, ...] = (2, 4, 8)
-SMOKE_KS: Tuple[int, ...] = (8,)
+QUICK_KS: Tuple[int, ...] = (8,)
 
 
 def synthetic_model(
@@ -98,7 +95,7 @@ def synthetic_model(
 #: the full candidate set the sorted layouts (RSELL) dominate the
 #: bimodal demo matrix at every batch width, so no crossover exists to
 #: demonstrate.  The SELL-family runtime flip has its own coverage
-#: (``repro bench sell``'s SMO gate and ``tests/serve/test_sell_flip.py``).
+#: (``tests/serve/test_sell_flip.py``).
 CLASSIC_SERVE_FORMATS: Tuple[str, ...] = tuple(
     f for f in EXACT_SERVE_FORMATS if f in FORMAT_NAMES
 )
@@ -133,21 +130,20 @@ def run_throughput(
     ks: Sequence[int],
     *,
     samples: int,
+    seed: int = 0,
 ) -> List[Dict]:
     """Batched-vs-unbatched serving ratios per shape and batch width."""
-    cost_model = CostModel()
+    scheduler = LayoutScheduler("cost", candidates=EXACT_SERVE_FORMATS)
     records: List[Dict] = []
     for n_sv, n_features, row_nnz in shapes:
-        model = synthetic_model(n_sv, n_features, row_nnz)
+        model = synthetic_model(n_sv, n_features, row_nnz, seed=seed)
         profile = extract_profile(model.matrix)
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(seed + 7)
         sampler = query_sampler(n_features, row_nnz)
         for k in ks:
-            fmt = cost_model.rank(
-                profile, EXACT_SERVE_FORMATS, batch_k=k
-            )[0].fmt
+            decision = scheduler.decide_profile(profile, batch_k=k)
             engine = InferenceEngine(model.clone())
-            engine.convert_to(fmt)
+            engine.convert_to(decision.fmt)
             batch = [sampler(rng) for _ in range(k)]
 
             def single() -> None:
@@ -157,7 +153,7 @@ def run_throughput(
             def batched() -> None:
                 engine.predict(batch)
 
-            ratio, t_single, t_batched = _paired_ratio(
+            ratio, t_single, t_batched = paired_ratio(
                 single, batched, samples=samples
             )
             records.append(
@@ -166,7 +162,8 @@ def run_throughput(
                     "n_features": n_features,
                     "row_nnz": row_nnz,
                     "k": k,
-                    "fmt": fmt,
+                    "fmt": decision.fmt,
+                    "source": decision.source,
                     "single_seconds": t_single,
                     "batched_seconds": t_batched,
                     "single_rps": k / t_single,
@@ -252,92 +249,32 @@ def run_reschedule_demo(*, smoke: bool = False) -> Dict:
     }
 
 
-def run_suite(*, smoke: bool = False, samples: Optional[int] = None) -> Dict:
-    """Run both experiments and assemble the ``BENCH_serve.json`` payload.
+def run(
+    *, quick: bool = False, repeats: Optional[int] = None, seed: int = 0
+) -> Dict:
+    """Run the throughput experiment; return the ``BENCH_serve.json``
+    record.
 
-    The headline is the median batched speedup at the widest batch
-    width across the shape suite, with the matrix in the cost model's
-    per-width choice — the configuration the serving stack actually
-    runs.
+    ``repeats`` is the number of interleaved samples per configuration.
+    The gated number is the median batched speedup at the widest batch
+    width across the shape suite, with the matrix in the scheduler's
+    per-width choice — the configuration the serving stack runs.
     """
-    shapes = SMOKE_SHAPES if smoke else FULL_SHAPES
-    ks = SMOKE_KS if smoke else FULL_KS
-    if samples is None:
-        samples = 5 if smoke else 11
-    throughput = run_throughput(shapes, ks, samples=samples)
-    demo = run_reschedule_demo(smoke=smoke)
-    k_max = max(ks)
-    at_max = sorted(
-        r["speedup"] for r in throughput if r["k"] == k_max
+    shapes = QUICK_SHAPES if quick else FULL_SHAPES
+    ks = QUICK_KS if quick else FULL_KS
+    samples = repeats if repeats is not None else (5 if quick else 11)
+    throughput = run_throughput(shapes, ks, samples=samples, seed=seed)
+    speedup = BenchmarkResult(
+        [r["speedup"] for r in throughput if r["k"] == max(ks)]
+    ).median
+    return record(
+        "serve",
+        quick=quick,
+        seed=seed,
+        measured={"throughput": throughput, "batched_speedup": speedup},
+        modelled={},
+        gates=[
+            Gate("batched_speedup", speedup, ">=", HEADLINE_CRITERION,
+                 enforced=False),
+        ],
     )
-    mid = len(at_max) // 2
-    if len(at_max) % 2:
-        headline = at_max[mid]
-    else:
-        headline = 0.5 * (at_max[mid - 1] + at_max[mid])
-    return {
-        "meta": {
-            "suite": "serve",
-            "smoke": smoke,
-            "samples": samples,
-            "shapes": [list(s) for s in shapes],
-            "batch_ks": list(ks),
-            "exact_formats": list(EXACT_SERVE_FORMATS),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "throughput": throughput,
-        "reschedule_demo": demo,
-        "headline": {
-            "batched_speedup": headline,
-            "criterion": HEADLINE_CRITERION,
-            "pass": headline >= HEADLINE_CRITERION,
-            "reschedule_events": len(demo["events"]),
-            "bitwise_identical": bool(
-                demo["labels_bitwise_identical"]
-                and demo["decisions_bitwise_identical"]
-            ),
-        },
-    }
-
-
-def write_report(payload: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def render_summary(payload: Dict) -> str:
-    """Terminal summary: headline, per-config ratios, demo outcome."""
-    lines = []
-    head = payload["headline"]
-    verdict = "PASS" if head["pass"] else "FAIL"
-    lines.append(
-        f"micro-batched serving speedup (median at widest k): "
-        f"{head['batched_speedup']:.2f}x "
-        f"(criterion {head['criterion']:.1f}x) [{verdict}]"
-    )
-    for r in payload["throughput"]:
-        lines.append(
-            f"  n_sv={r['n_sv']:<5} k={r['k']}: {r['speedup']:.2f}x in "
-            f"{r['fmt']} ({r['single_rps']:.0f} -> "
-            f"{r['batched_rps']:.0f} rps)"
-        )
-    demo = payload["reschedule_demo"]
-    bits = (
-        "bitwise identical"
-        if head["bitwise_identical"]
-        else "MISMATCH"
-    )
-    lines.append(
-        f"re-schedule demo: {demo['initial_format']} -> "
-        f"{demo['final_format']} in {len(demo['events'])} event(s) over "
-        f"{demo['served']} served requests; predictions {bits}"
-    )
-    for e in demo["events"]:
-        lines.append(
-            f"  batch {e['batch_seq']}: {e['from']} -> {e['to']} "
-            f"(effective k={e['effective_k']})"
-        )
-    return "\n".join(lines)

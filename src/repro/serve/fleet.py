@@ -27,11 +27,12 @@
 
 :func:`simulate_fleet` is the virtual-clock discrete-event loop over
 that machinery — the fleet twin of :func:`repro.serve.loadgen.
-simulate`, and what `repro bench fleet` gates on: arrivals, per-replica
-micro-batch flushes and service completions interleave on one event
-heap, service cost is a deterministic :class:`ServiceModel`, and no
-wall clock is read anywhere, so throughput scaling and overload p99
-are exact, CI-gateable numbers.
+simulate`, and what `tests/serve/test_fleet.py` checks: arrivals,
+per-replica micro-batch flushes and service completions interleave on
+one event heap, service cost is a deterministic :class:`ServiceModel`,
+and no wall clock is read anywhere, so throughput scaling and overload
+p99 are exact, testable numbers (and, being virtual, never a
+speedup headline).
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ class ServingFleet:
         """Broadcast ``trace_on``: every worker starts recording spans.
 
         The door's own tracer is *not* touched — callers (the CLI's
-        ``repro trace``, the bench harness) own that switch.  Local
+        ``repro trace``, the tests) own that switch.  Local
         shards share the door's tracer and treat the verb as a no-op.
         """
         for shard in self.shards:

@@ -19,7 +19,8 @@ Two properties make the result safe to persist:
   head-to-head at the highest fidelity reached.  The winner is the
   measured argmin with a default-first tie-break, so a tuned cache
   entry can never be slower than the analytic default *on its own
-  measurements* — the invariant ``repro bench tune`` gates on.
+  measurements* — the invariant ``tests/tune/test_integration.py``
+  checks on every persisted winner.
 * **Determinism** — sampling and probe-row choice are seeded, candidate
   order is fixed by the catalogue, and ties break toward the default;
   re-running with the same seed walks the same configurations.
@@ -40,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.autotune import AutoTuner
+from repro.core.cost_model import ANALYTIC_FORMATS
 from repro.features.extract import profile_from_coo
 from repro.features.profile import DatasetProfile
 from repro.formats.csr import CSRMatrix
@@ -50,7 +52,14 @@ from repro.parallel.kernels import parallel_matvec
 from repro.parallel.pool import WorkerPool
 from repro.perf.timers import benchmark
 from repro.svm.smo import _RowCache
-from repro.tune.space import Config, SearchSpace, space_for
+from repro.tune.cache import TuneCache
+from repro.tune.space import (
+    FORMAT_FAMILY,
+    SPACES,
+    Config,
+    SearchSpace,
+    space_for,
+)
 
 #: A measurer times one configuration at a given repeat count and
 #: returns the median seconds per probe operation.
@@ -406,3 +415,65 @@ class TuneSearch:
         families: Sequence[str],
     ) -> Dict[str, FamilyResult]:
         return {f: self.tune_family(f, ctx) for f in families}
+
+
+def tune_datasets(
+    datasets: Sequence[Tuple[str, np.ndarray, np.ndarray, np.ndarray,
+                             Tuple[int, int]]],
+    families: Sequence[str],
+    *,
+    cache: TuneCache,
+    seed: int = 0,
+    **search_kwargs: int,
+) -> Dict[str, Dict[str, object]]:
+    """Search each ``(name, rows, cols, values, shape)`` and persist.
+
+    Every family winner goes into ``cache`` under the dataset's
+    profile bucket, then the measured-best storage format over
+    ``ANALYTIC_FORMATS`` goes in as the :data:`FORMAT_FAMILY` entry at
+    batch width 1 — the entry the scheduler's warm path reads in place
+    of analytic pricing.  Machine-wide families (``workers``,
+    ``row_blocks``) are tuned on the first dataset only: their optimum
+    is a property of the box, and re-racing them per dataset would
+    just overwrite one machine entry with another.  ``search_kwargs``
+    go to each dataset's fresh :class:`TuneSearch` (a fresh one, since
+    its measurement memo must not leak across datasets).
+
+    Returns ``{name: {"bucket", "format", "families", "budget_spent"}}``
+    with ``families`` mapping each tuned family to its
+    :class:`FamilyResult`.
+    """
+    data_families = [f for f in families if not SPACES[f].machine_wide]
+    machine_families = [f for f in families if SPACES[f].machine_wide]
+    tuner = AutoTuner(repeats=search_kwargs.get("base_repeats", 3), seed=seed)
+    out: Dict[str, Dict[str, object]] = {}
+    for index, (name, rows, cols, values, shape) in enumerate(datasets):
+        ctx = ProbeContext(rows, cols, values, shape, seed=seed)
+        search = TuneSearch(seed=seed, **search_kwargs)
+        run = data_families + (machine_families if index == 0 else [])
+        results = search.tune(ctx, run)
+        for family, r in results.items():
+            cache.put(
+                family,
+                r.best,
+                profile=ctx.profile,
+                stats={
+                    "median_seconds": r.best_seconds,
+                    "default_seconds": r.default_seconds,
+                    "fidelity": r.fidelity,
+                },
+            )
+        probed = tuner.probe(rows, cols, values, shape, ANALYTIC_FORMATS)
+        cache.put(
+            FORMAT_FAMILY,
+            {"fmt": probed[0].fmt, "batch_k": 1},
+            profile=ctx.profile,
+            stats={"median_seconds": probed[0].median_seconds},
+        )
+        out[name] = {
+            "bucket": cache.bucket_for(FORMAT_FAMILY, ctx.profile),
+            "format": probed[0].fmt,
+            "families": results,
+            "budget_spent": search.spent,
+        }
+    return out

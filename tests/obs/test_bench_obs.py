@@ -1,108 +1,97 @@
-"""The tracing-overhead gate: deterministic checks plus the ratio."""
+"""The disabled-mode overhead gate: measured costs and their quotients.
+
+The structural half of the free-when-disabled contract (no-op span
+singleton, nothing recorded, plain lock, ``track`` identity, disabled
+flight ring) is tested where it lives: ``tests/obs/test_trace.py``,
+``tests/analysis/test_race_sanitizer.py`` and
+``tests/obs/test_flight.py``.
+"""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.obs.bench import (
-    OVERHEAD_THRESHOLD,
-    render_summary,
-    run_overhead_bench,
-    run_suite,
-    write_report,
-)
+from repro.obs.bench import OVERHEAD_THRESHOLD, run
+from repro.perf.harness import render, write_record
+from repro.perf.timers import benchmark
 
 
 @pytest.fixture(scope="module")
 def quick_payload():
     """One quick bench run shared across the module."""
-    return run_overhead_bench(quick=True, rounds=3, calls=16)
-
-
-class TestDeterministicGates:
-    def test_noop_singleton_and_nothing_recorded(self, quick_payload):
-        # The structural half of the <2 % claim: disabled-mode spans
-        # are one shared immutable object and leave zero state behind.
-        assert quick_payload["noop_singleton"] is True
-        assert quick_payload["nothing_recorded"] is True
-
-    def test_race_disabled_mode_is_structurally_free(self, quick_payload):
-        # The race sanitizer's half of the same bargain: a disabled
-        # make_lock is the exact built-in lock type and a disabled
-        # track is the identity.
-        assert quick_payload["race_plain_lock"] is True
-        assert quick_payload["race_track_identity"] is True
-
-    def test_headline_pass_requires_structural_gates(self, quick_payload):
-        assert quick_payload["headline"]["pass"] in (True, False)
-        if quick_payload["headline"]["pass"]:
-            assert quick_payload["noop_singleton"]
-            assert quick_payload["nothing_recorded"]
-            assert quick_payload["race_plain_lock"]
-            assert quick_payload["race_track_identity"]
+    return run(quick=True, repeats=3, seed=0)
 
 
 class TestPayloadShape:
     def test_fields(self, quick_payload):
         p = quick_payload
-        assert p["suite"] == "obs-overhead"
+        assert p["suite"] == "obs"
         assert p["quick"] is True
-        assert p["rounds"] == 3
-        assert p["calls_per_round"] == 16
-        assert p["span_iters"] == 20_000
-        assert p["threshold"] == OVERHEAD_THRESHOLD
-        assert p["span_cost_s"] > 0.0
-        assert p["smsv_cost_s"] > 0.0
-        assert p["overhead_fraction"] == pytest.approx(
-            p["span_cost_s"] / p["smsv_cost_s"]
-        )
-        assert p["headline"]["overhead_pct"] == pytest.approx(
-            p["overhead_fraction"] * 100.0
-        )
-        assert p["race_guard_cost_s"] > 0.0
-        assert p["race_overhead_fraction"] == pytest.approx(
-            p["race_guard_cost_s"] / p["smsv_cost_s"]
-        )
-        assert p["headline"]["race_overhead_pct"] == pytest.approx(
-            p["race_overhead_fraction"] * 100.0
-        )
+        assert p["modelled"] == {}
+        m = p["measured"]
+        assert m["smsv_cost_s"] > 0.0
+        gates = {g["name"]: g for g in p["gates"]}
+        assert set(gates) == {
+            "span_overhead_fraction",
+            "race_guard_overhead_fraction",
+            "flight_overhead_fraction",
+        }
+        for name, gate in gates.items():
+            site = name[: -len("_overhead_fraction")]
+            assert m[f"{site}_cost_s"] > 0.0
+            assert m[name] == pytest.approx(
+                m[f"{site}_cost_s"] / m["smsv_cost_s"]
+            )
+            assert gate["value"] == m[name]
+            assert (gate["op"], gate["threshold"]) == (
+                "<", OVERHEAD_THRESHOLD
+            )
+            assert gate["enforced"] is True
 
     def test_disabled_span_is_cheaper_than_a_kernel_call(
         self, quick_payload
     ):
         # The design point: one disabled span() costs far less than one
         # SMSV call, so instrumenting the hot loop is free in practice.
-        assert quick_payload["span_cost_s"] < quick_payload["smsv_cost_s"]
+        m = quick_payload["measured"]
+        assert m["span_cost_s"] < m["smsv_cost_s"]
 
     def test_disabled_race_guard_is_cheaper_than_a_kernel_call(
         self, quick_payload
     ):
-        assert (
-            quick_payload["race_guard_cost_s"]
-            < quick_payload["smsv_cost_s"]
-        )
+        m = quick_payload["measured"]
+        assert m["race_guard_cost_s"] < m["smsv_cost_s"]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            run_overhead_bench(rounds=0)
-        with pytest.raises(ValueError):
-            run_overhead_bench(calls=0)
+            run(quick=True, repeats=0, seed=0)
 
 
 class TestSuiteAndRendering:
-    def test_run_suite_maps_repeats_to_rounds(self):
-        payload = run_suite(quick=True, repeats=2)
-        assert payload["rounds"] == 2
+    def test_run_suite_maps_repeats_to_rounds(self, monkeypatch):
+        import repro.obs.bench as obs_bench
+
+        seen = []
+
+        def spy(fn, *, repeats, warmup):
+            seen.append(repeats)
+            return benchmark(fn, repeats=repeats, warmup=warmup)
+
+        monkeypatch.setattr(obs_bench, "benchmark", spy)
+        run(quick=True, repeats=2, seed=0)
+        # Five timed loops (three disabled call sites, bare and
+        # instrumented SMSV), each for exactly `repeats` rounds.
+        assert seen == [2] * 5
 
     def test_render_summary_mentions_the_gate(self, quick_payload):
-        text = render_summary(quick_payload)
-        assert "overhead" in text
-        assert "span" in text
+        text = render(quick_payload)
+        assert "span_overhead_fraction" in text
+        assert "< 0.02" in text
 
     def test_write_report_is_json(self, tmp_path, quick_payload):
-        import json
-
         path = tmp_path / "BENCH_obs.json"
-        write_report(quick_payload, path)
+        write_record(quick_payload, path)
         reloaded = json.loads(path.read_text())
-        assert reloaded["suite"] == "obs-overhead"
+        assert reloaded["suite"] == "obs"

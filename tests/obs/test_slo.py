@@ -13,6 +13,8 @@ from repro.obs.slo import (
     render_slo,
 )
 from repro.obs.trace import Tracer
+from repro.serve.bench_fleet import fleet_models, tenant_workload
+from repro.serve.fleet import ServingFleet, simulate_fleet
 
 
 def latency_spec(**overrides):
@@ -202,3 +204,38 @@ class TestReporting:
             SLOMonitor([latency_spec()], check_every=0)
         with pytest.raises(ValueError):
             SLOMonitor([latency_spec(), latency_spec()])
+
+
+class TestFleetBreach:
+    def test_breach_and_dump_are_deterministic(self, tmp_path):
+        """An unmeetable SLO on a fleet session breaches and leaves a
+        parseable flight dump, every run.
+
+        A 1 ns latency objective makes every request a bad event; with
+        the whole virtual session inside the long window the burn rate
+        is ``1 / error_budget = 100``, far over the factor of 2, so the
+        breach cannot *not* fire.
+        """
+        path = tmp_path / "flight-slo-breach.jsonl"
+        monitor = SLOMonitor(
+            (
+                SLOSpec(
+                    "latency_impossible", "latency",
+                    objective=0.99, threshold_ms=1e-6,
+                    long_window_s=1e9, short_window_s=1e9,
+                    burn_factor=2.0, min_events=8,
+                ),
+            ),
+            flight=FlightRecorder(enabled=True),
+            dump_path=path,
+        )
+        with ServingFleet(
+            fleet_models(smoke=True), 2, backend="local"
+        ) as fleet:
+            simulate_fleet(
+                fleet, tenant_workload(smoke=True, seed=0), slo=monitor
+            )
+        assert len(monitor.breaches) >= 1
+        dump = read_flight_dump(path)
+        assert dump["header"]["reason"] == "slo_breach:latency_impossible"
+        assert any(e.get("kind") == "slo_breach" for e in dump["events"])

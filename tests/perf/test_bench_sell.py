@@ -1,20 +1,24 @@
-"""repro bench sell: headline harness, trajectory sweep, SMO gate."""
+"""repro bench sell: headline harness, trajectory sweep, and the SMO
+permutation-transparency check that used to ride along as its gate."""
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.data.synthetic import powerlaw_rows_matrix
+from repro.data.synthetic import attach_labels, powerlaw_rows_matrix
+from repro.formats.csr import CSRMatrix
+from repro.formats.reorder import RCSRMatrix
 from repro.perf.bench_sell import (
     FIXED_BASELINES,
+    HEADLINE_CRITERION,
     SPARSE_CANDIDATES,
-    render_summary,
     run_headline,
-    run_smo_gate,
-    run_suite,
     run_trajectory,
-    write_report,
 )
+from repro.perf.harness import render, write_record
+from repro.svm.kernels import make_kernel
+from repro.svm.smo import smo_train
 
 
 @pytest.fixture(scope="module")
@@ -82,24 +86,49 @@ class TestTrajectory:
 
 class TestSmoGate:
     def test_bitwise_gate_passes(self):
-        gate = run_smo_gate(max_iter=120)
-        assert gate["pass"], gate["checks"]
-        assert all(gate["checks"].values())
+        """SMO on the permuted layout (RCSR) against the CSR reference:
+        every trajectory-determining quantity is bitwise identical, so
+        the reordering pipeline is permutation-transparent end to end,
+        not just kernel by kernel."""
+        rows, cols, vals, shape = powerlaw_rows_matrix(
+            256, 128, alpha=1.7, min_nnz=4, max_nnz=64, seed=21
+        )
+        y = attach_labels((rows, cols, vals, shape), seed=3)
+        kernel = make_kernel("gaussian", gamma=0.5)
+        X_csr = CSRMatrix.from_coo(rows, cols, vals, shape)
+        X_rcsr = RCSRMatrix.from_coo(rows, cols, vals, shape)
+        # Cut mid-trajectory, and run to convergence (346 iterations).
+        for max_iter in (120, 2000):
+            ref = smo_train(X_csr, y, kernel, C=1.0, max_iter=max_iter)
+            got = smo_train(X_rcsr, y, kernel, C=1.0, max_iter=max_iter)
+            assert ref.iterations == got.iterations
+            assert np.array_equal(ref.alpha, got.alpha)
+            assert ref.b == got.b
+            assert np.array_equal(ref.f, got.f)
+            assert np.array_equal(
+                np.nonzero(ref.alpha > 1e-12)[0],
+                np.nonzero(got.alpha > 1e-12)[0],
+            )
 
 
 class TestSuitePlumbing:
-    def test_quick_suite_report_roundtrip(self, tmp_path):
-        payload = run_suite(quick=True, samples=1)
+    def test_quick_suite_report_roundtrip(self, tmp_path, quick_record):
+        rec = quick_record("sell")
         path = tmp_path / "BENCH_sell.json"
-        write_report(payload, str(path))
+        write_record(rec, path)
         loaded = json.loads(path.read_text())
-        assert loaded["headline"]["criterion"] == 1.4
-        assert "pass" in loaded["headline"]
-        assert loaded["smo_gate"]["pass"] is True
-        assert loaded["trajectory"]
+        (gate,) = loaded["gates"]
+        assert gate["name"] == "modelled_speedup"
+        assert gate["threshold"] == HEADLINE_CRITERION
+        assert gate["enforced"] is True
+        assert gate["value"] == loaded["modelled"]["modelled_speedup"]
+        assert loaded["modelled"]["trajectory"]
+        assert loaded["measured"]["wallclock_ratio"] > 0
+        (pick,) = loaded["modelled"]["picks"]
+        assert pick["picked_fmt"] in SPARSE_CANDIDATES
+        assert "wallclock_ratio" not in pick
 
-    def test_summary_renders(self):
-        payload = run_suite(quick=True, samples=1)
-        text = render_summary(payload)
-        assert "SMO" in text
-        assert "speedup" in text.lower()
+    def test_summary_renders(self, quick_record):
+        text = render(quick_record("sell"))
+        assert "modelled_speedup" in text
+        assert "wallclock_ratio" in text

@@ -14,7 +14,7 @@ from repro.perf import (
     effective_bandwidth,
     global_counter,
 )
-from repro.perf.timers import rank_by_median
+from repro.perf.timers import paired_ratio, rank_by_median
 
 
 class TestOpCounter:
@@ -220,6 +220,26 @@ class TestBenchmark:
         fast = lambda: None
         order = rank_by_median([slow, fast], repeats=2)
         assert order[0] == 1
+
+    def test_paired_ratio_interleaves_and_reports_medians(self):
+        calls = []
+
+        def slow():
+            calls.append("s")
+            time.sleep(0.002)
+
+        def fast():
+            calls.append("f")
+
+        ratio, t_slow, t_fast = paired_ratio(
+            slow, fast, samples=3, batch_seconds=0.001
+        )
+        # Two warm-up calls each, one calibration call (one slow call
+        # already fills the batch, so one call per side per sample),
+        # then strictly alternating samples.
+        assert calls == ["s", "s", "f", "f", "s"] + ["s", "f"] * 3
+        assert t_slow >= 0.002 > t_fast
+        assert ratio > 1.0
 
 
 class TestBandwidth:

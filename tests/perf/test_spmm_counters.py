@@ -1,17 +1,10 @@
-"""SpMM counter fields and the ``bench smsv`` harness."""
-
-import json
+"""SpMM counter fields and the ``bench smsv`` suite."""
 
 import numpy as np
 
 from repro.formats import from_dense
 from repro.perf import OpCounter
-from repro.perf.bench_smsv import (
-    HEADLINE_CRITERION,
-    render_summary,
-    run_suite,
-    write_report,
-)
+from repro.perf.bench_smsv import HEADLINE_CRITERION
 
 
 class TestSpmmCounterFields:
@@ -53,28 +46,25 @@ class TestSpmmCounterFields:
 
 
 class TestBenchHarness:
-    def test_quick_suite_payload_shape(self, tmp_path):
-        payload = run_suite(quick=True, repeats=1)
-        assert payload["meta"]["quick"] is True
-        assert payload["trajectory"], "trajectory records missing"
-        assert payload["dual_row"], "dual-row records missing"
-        head = payload["headline"]
-        assert head["criterion"] == HEADLINE_CRITERION
-        assert head["dual_row_speedup"] > 0
-        assert isinstance(head["pass"], bool)
+    def test_quick_suite_payload_shape(self, quick_record):
+        rec = quick_record("smsv")
+        assert rec["quick"] is True
+        measured = rec["measured"]
+        assert measured["trajectory"], "trajectory records missing"
+        assert measured["dual_row"], "dual-row records missing"
+        assert measured["dual_row_speedup"] > 0
+        assert rec["modelled"] == {}
+        (gate,) = rec["gates"]
+        assert gate["name"] == "dual_row_speedup"
+        assert gate["threshold"] == HEADLINE_CRITERION
+        # A wall-clock ratio on a shared host: recorded, never failing
+        # the run.
+        assert gate["enforced"] is False
+        assert rec["pass"] is True
         # every record carries its config and a finite speedup
-        for r in payload["trajectory"]:
+        for r in measured["trajectory"]:
             assert r["fmt"] and r["k"] >= 1
             assert np.isfinite(r["speedup"])
-        for r in payload["dual_row"]:
+        for r in measured["dual_row"]:
             assert r["kernel"] in ("gaussian", "linear")
             assert np.isfinite(r["speedup"])
-
-        out = tmp_path / "BENCH_smsv.json"
-        write_report(payload, str(out))
-        blob = json.loads(out.read_text())
-        assert blob["headline"]["criterion"] == HEADLINE_CRITERION
-
-        text = render_summary(payload)
-        assert "dual-row fused speedup" in text
-        assert "best batched-sweep speedup" in text

@@ -10,14 +10,17 @@ and that observation never changes an answer.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.obs.audit import audit_log
+from repro.obs.export import merged_to_chrome_trace, validate_chrome_trace
 from repro.obs.trace import (
     CTX_PARENT_SPAN,
     DOOR_LANE,
     get_tracer,
 )
+from repro.serve import bench_fleet
 from repro.serve.bench_fleet import (
     STRONG_BITWISE_FORMATS,
     flip_fleet_models,
@@ -167,3 +170,56 @@ class TestLocalBackendSharing:
         finally:
             tracer.clear()
             tracer.enabled = prev
+
+
+@pytest.fixture(scope="class")
+def traced_and_untraced():
+    """The same two-worker process-fleet session, untraced then fully
+    traced (door tracer and every worker's tracer on); the global
+    tracer's prior state is restored after."""
+    tracer = get_tracer()
+    prev = tracer.enabled
+    runs = {}
+    try:
+        for traced in (False, True):
+            tracer.clear()
+            tracer.enabled = traced
+            with ServingFleet(
+                bench_fleet.fleet_models(smoke=True), 2, backend="process"
+            ) as fleet:
+                if traced:
+                    fleet.enable_worker_tracing()
+                report = simulate_fleet(
+                    fleet, bench_fleet.tenant_workload(smoke=True, seed=0)
+                )
+                merged = fleet.merged_trace() if traced else None
+            runs[traced] = (report, merged)
+    finally:
+        tracer.clear()
+        tracer.enabled = prev
+    return runs
+
+
+class TestTracedEqualsUntraced:
+    def test_traced_outputs_bitwise_identical(self, traced_and_untraced):
+        (plain, _), (traced, _) = (
+            traced_and_untraced[False], traced_and_untraced[True]
+        )
+        assert traced.responses == plain.responses
+        assert sorted(traced.decisions) == sorted(plain.decisions)
+        for req_id, values in plain.decisions.items():
+            assert np.array_equal(traced.decisions[req_id], values)
+
+    def test_every_worker_lane_present_with_valid_parents(
+        self, traced_and_untraced
+    ):
+        _, merged = traced_and_untraced[True]
+        assert merged.worker_lanes() == [1, 2]
+        assert merged.unresolved == 0
+        assert_cross_parents_resolve(merged)
+
+    def test_chrome_export_validates(self, traced_and_untraced):
+        _, merged = traced_and_untraced[True]
+        chrome = merged_to_chrome_trace(merged)
+        validate_chrome_trace(chrome)
+        assert len(chrome["traceEvents"]) >= len(merged.spans)

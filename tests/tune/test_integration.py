@@ -25,12 +25,14 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.reorder import RSELLMatrix
 from repro.formats.sell import DEFAULT_CHUNK, SELLMatrix
 from repro.obs.audit import audit_log
+from repro.obs.report import REPORT_DATASETS
 from repro.parallel.kernels import parallel_matvec
 from repro.parallel.pool import WorkerPool
 from repro.serve.rescheduler import FormatRescheduler
 from repro.svm.kernels import LinearKernel
 from repro.svm.smo import smo_train
 from repro.tune.cache import reset_tune_cache, tune_cache
+from repro.tune.search import tune_datasets
 from repro.tune.space import FORMAT_FAMILY, row_cache_default_mb, space_for
 
 
@@ -130,6 +132,66 @@ class TestSchedulerWiring:
         sched = LayoutScheduler("cost")
         sched.decide_from_coo(rows, cols, vals, shape)
         assert sched.cache.get(profile, sched.batch_k, sched.cache_scope) is None
+
+
+class TestTuneGate:
+    """The measured search end to end: tune the five report datasets
+    into a fresh cache, then decide from it."""
+
+    def test_search_then_warm_and_cold_decisions(
+        self, cache_path, monkeypatch
+    ):
+        datasets = [
+            (name, *build(256, 128, 0)) for name, build in REPORT_DATASETS
+        ]
+        tuned = tune_datasets(
+            datasets,
+            ("sell_chunk", "sigma", "batch_k"),
+            cache=tune_cache(),
+            base_repeats=1,
+            max_repeats=2,
+            budget=64,
+        )
+        # Incumbent protection: no persisted winner is slower than the
+        # analytic default on its own final head-to-head.
+        for name, d in tuned.items():
+            for family, r in d["families"].items():
+                assert r.best_seconds <= r.default_seconds, (name, family)
+
+        def decide_all():
+            # Fresh scheduler, empty DecisionCache: every warm answer
+            # must come from the persisted tuning cache.
+            sched = LayoutScheduler("cost", candidates=ANALYTIC_FORMATS)
+            return [
+                (d.fmt, d.source)
+                for d in (
+                    sched.decide_from_coo(rows, cols, vals, shape)
+                    for _, rows, cols, vals, shape in datasets
+                )
+            ]
+
+        first = decide_all()
+        assert decide_all() == first
+        assert [src for _, src in first] == ["tuned"] * len(datasets)
+        sched = LayoutScheduler("cost", candidates=ANALYTIC_FORMATS)
+        _, rows, cols, _vals, shape = datasets[0]
+        profile = profile_from_coo(rows, cols, shape)
+        for _ in range(3):
+            assert sched.decide_profile(profile, batch_k=1).source == "tuned"
+
+        # A bucket the search never visited (m an order of magnitude
+        # below every suite dataset) decides analytically, and picks
+        # what a tuning-disabled scheduler picks.
+        coo = uniform_rows_matrix(64, 32, 4, seed=0)
+        cold = LayoutScheduler(
+            "cost", candidates=ANALYTIC_FORMATS
+        ).decide_from_coo(*coo)
+        monkeypatch.setenv("REPRO_TUNE", "0")
+        disabled = LayoutScheduler(
+            "cost", candidates=ANALYTIC_FORMATS
+        ).decide_from_coo(*coo)
+        assert cold.source == "analytic"
+        assert cold.fmt == disabled.fmt
 
 
 class TestServeWarmup:
