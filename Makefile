@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: lint race test test-sanitize test-trace test-race bench bench-smoke obs-report-smoke tune wall-bench-smoke check
+.PHONY: lint race test test-sanitize test-trace test-race paper-shapes bench bench-smoke obs-report-smoke tune wall-bench-smoke check
 
 ## Static analysis: the twelve RDL rules over the whole tree, JSON
 ## mode, non-zero exit on any finding.  See docs/analysis.md.
@@ -37,6 +37,12 @@ test-trace:
 ## common lock, asserted per test (tests/conftest.py).
 test-race:
 	REPRO_RACE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q tests/serve tests/parallel tests/obs tests/analysis
+
+## The paper's shape assertions (Tables II-VII, Figs. 1-7) in
+## benchmarks/, with pytest-benchmark's timing loop off; CI's
+## paper-shapes job.
+paper-shapes:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 
 ## One timed suite through the one harness (src/repro/perf/harness.py):
 ## `make bench SUITE=sell` writes BENCH_sell.json; QUICK=1 for the

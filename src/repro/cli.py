@@ -7,8 +7,8 @@ profile   print the nine Table IV parameters of a LIBSVM file
 schedule  decide (and explain) the storage format for a LIBSVM file
 train     train an adaptive SVM on a LIBSVM file and report accuracy
 serve     simulate an online serving session (micro-batching + runtime
-          layout re-scheduling) and report metrics; ``--workers N``
-          serves through the sharded multi-process fleet instead
+          layout re-scheduling) through the sharded fleet on the
+          virtual clock and report metrics
 bench     run a timed benchmark suite (smsv, sell, serve, obs) and
           write its record; exit 1 when an enforced gate fails
 tune      measured-time knob search (SELL chunk, sigma window, batch
@@ -73,7 +73,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     print(f"reason   : {decision.reason}")
     if args.explain:
         print()
-        print(explain(decision.profile))
+        print(explain(decision))
     return 0
 
 
@@ -136,181 +136,49 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    """The multi-worker serving path (``repro serve --workers N``)."""
-    import json
+def _serve_inputs(args: argparse.Namespace):
+    """``(models, workload, rescheduler policy)`` of a ``repro serve``
+    session.
 
-    from repro.serve import AdmissionController, ServingFleet, simulate_fleet
-    from repro.serve.bench_fleet import (
-        STRONG_BITWISE_FORMATS,
-        fleet_models,
-        tenant_workload,
-    )
+    ``--workers N`` without ``--model`` serves the multi-tenant demo.
+    Otherwise the session serves ``--model FILE`` (or the demo model
+    whose format flips with batch width) under ``--workload``.
+    """
+    from repro.serve import closed_loop, open_loop, phase_shift, query_sampler
 
-    from repro.obs import get_registry, trace_enabled
-    from repro.obs.collect import clear_fleet_trace, publish_fleet_trace
-
-    models = fleet_models(smoke=True)
-    workload = tenant_workload(smoke=True, seed=args.seed)
-    admission = AdmissionController(
-        capacity=args.capacity, shed_at=args.shed_at
-    )
-    traced = trace_enabled()
-    if traced:
-        clear_fleet_trace()
-    with ServingFleet(
-        models,
-        args.workers,
-        backend=args.backend,
-        rescheduler={
-            "min_gain": 0.0,
-            "candidates": STRONG_BITWISE_FORMATS,
-        },
-    ) as fleet:
-        if traced:
-            fleet.enable_worker_tracing()
-        report = simulate_fleet(
-            fleet,
-            workload,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            admission=admission,
-            registry=get_registry() if traced else None,
+    if args.model is None and args.workers is not None:
+        from repro.serve.bench_fleet import (
+            STRONG_BITWISE_FORMATS,
+            fleet_models,
+            tenant_workload,
         )
-        if traced:
-            # Collect before close — worker rings die with the
-            # processes.  The wrapping `repro trace` exports this.
-            publish_fleet_trace(fleet.merged_trace())
-    snap = report.metrics.snapshot()
-    if args.json:
-        snap["workload"] = report.workload
-        snap["workers"] = args.workers
-        snap["per_shard_served"] = {
-            str(s): c for s, c in report.per_shard_served.items()
-        }
-        snap["rebalances"] = len(report.rebalances)
-        snap["reschedule_events"] = len(report.events)
-        snap["transport"] = {
-            str(w): stats
-            for w, stats in report.snapshot.transport.items()
-        }
-        print(json.dumps(snap, indent=2, sort_keys=True))
-        return 0
-    lat = snap["latency"]
-    print(
-        f"fleet       : {args.workers} {args.backend} worker(s), "
-        f"{len(models)} model(s)"
-    )
-    print(f"workload    : {report.workload} ({len(workload)} requests)")
-    print(
-        f"served      : {snap['served']} in {snap['batches']} batches "
-        f"(mean width {snap['mean_batch']:.2f})"
-    )
-    print(
-        f"shed        : {snap['rejected']} rejected, "
-        f"{snap['expired']} expired, {snap['degraded']} degraded"
-    )
-    print(
-        f"latency ms  : p50 {lat['p50_ms']:.3f}  p95 {lat['p95_ms']:.3f}  "
-        f"p99 {lat['p99_ms']:.3f} (virtual: coalescing wait)"
-    )
-    print(f"throughput  : {snap['throughput_rps']:.0f} rps (virtual time)")
-    print(
-        "per shard   : "
-        + "  ".join(
-            f"w{s}={c}" for s, c in sorted(report.per_shard_served.items())
+
+        policy = {"min_gain": 0.0, "candidates": STRONG_BITWISE_FORMATS}
+        return (
+            fleet_models(smoke=True),
+            tenant_workload(smoke=True, seed=args.seed),
+            policy,
         )
-    )
-    for w, stats in sorted(report.snapshot.transport.items()):
-        per_req = (
-            (stats["hot_bytes_sent"] + stats["hot_bytes_received"])
-            / stats["hot_requests"]
-            if stats["hot_requests"]
-            else 0.0
-        )
-        print(
-            f"  w{w} transport: {stats['hot_requests']} reqs, "
-            f"{per_req:.0f} hot B/req, "
-            f"{stats['control_bytes_sent'] + stats['control_bytes_received']} "
-            f"control B"
-        )
-    for event in report.rebalances:
-        print(
-            f"  rebalance #{event.seq}: {event.model} -> shard "
-            f"{event.cold_shard} (hot shard {event.hot_shard}, "
-            f"imbalance {event.imbalance:.2f}x)"
-        )
-    n_flips = len(report.events)
-    print(
-        f"reschedules : {n_flips} per-replica format flip(s)"
-        + ("" if n_flips else " (none warranted)")
-    )
-    for key, shard, e in report.events:
-        print(
-            f"  {key}@w{shard} batch {e.batch_seq}: {e.from_fmt} -> "
-            f"{e.to_fmt} (effective k={e.effective_k})"
-        )
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    if args.trace:
-        from repro.obs import enable_tracing
-
-        enable_tracing()
-
-    if args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return 2
-        if args.model is not None:
-            print(
-                "error: --workers runs the synthetic fleet demo and "
-                "cannot load --model",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_serve_fleet(args)
-
-    from repro.serve import (
-        AdmissionController,
-        FormatRescheduler,
-        InferenceEngine,
-        ServedModel,
-        closed_loop,
-        open_loop,
-        phase_shift,
-        query_sampler,
-        simulate,
-    )
-
     if args.model:
+        from pathlib import Path
+
+        from repro.serve import ServedModel
         from repro.svm.persist import load_model
 
+        key = Path(args.model).stem
         model = ServedModel.from_model(load_model(args.model))
+        policy = {"min_gain": 0.05}
     else:
         # The synthetic demo model whose cost ranking flips with the
-        # observed batch width — the workload below walks it across
-        # the crossover so the session shows a runtime re-schedule.
-        from repro.serve.bench import flip_model
+        # observed batch width — the phase-shift workload walks it
+        # across the crossover so the session shows a runtime
+        # re-schedule.  The policy keeps to the unreordered family so
+        # that crossover exists (see serve.bench.CLASSIC_SERVE_FORMATS).
+        from repro.serve.bench import CLASSIC_SERVE_FORMATS, flip_model
 
+        key = "flip"
         model = flip_model(seed=args.seed)
-    if args.model is None:
-        # Demo mode: restrict to the unreordered family so the batch-
-        # width crossover exists (see serve.bench.CLASSIC_SERVE_FORMATS).
-        from repro.serve.bench import CLASSIC_SERVE_FORMATS
-
-        resch = FormatRescheduler(
-            min_gain=0.0, candidates=CLASSIC_SERVE_FORMATS
-        )
-    else:
-        resch = FormatRescheduler(min_gain=0.05)
-    fmt0 = resch.initial_format(model.matrix)
-    engine = InferenceEngine(model)
-    engine.convert_to(fmt0)
-
+        policy = {"min_gain": 0.0, "candidates": CLASSIC_SERVE_FORMATS}
     _r, _c, vals = model.matrix.to_coo()
     mean_nnz = max(1, round(vals.shape[0] / model.matrix.shape[0]))
     sampler = query_sampler(
@@ -341,29 +209,98 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             deadline_ms=args.deadline_ms,
         )
+    return {key: model}, workload, policy
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """One serving session: a ``ServingFleet`` run by ``simulate_fleet``
+    on the virtual clock with the default modelled service time."""
+    import json
+
+    from repro.obs import audit_dataset, get_registry, trace_enabled
+    from repro.obs.collect import clear_fleet_trace, publish_fleet_trace
+    from repro.serve import AdmissionController, ServingFleet, simulate_fleet
+
+    if args.trace:
+        from repro.obs import enable_tracing
+
+        enable_tracing()
+    n_workers = 1 if args.workers is None else args.workers
+    if n_workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
+    models, workload, policy = _serve_inputs(args)
     admission = AdmissionController(
         capacity=args.capacity, shed_at=args.shed_at
     )
-    from repro.obs import audit_dataset
-
-    with audit_dataset(workload.name):
-        report = simulate(
-            engine,
+    traced = trace_enabled()
+    if traced:
+        clear_fleet_trace()
+    with ServingFleet(
+        models, n_workers, backend=args.backend, rescheduler=policy
+    ) as fleet, audit_dataset(workload.name):
+        if traced:
+            fleet.enable_worker_tracing()
+        report = simulate_fleet(
+            fleet,
             workload,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             admission=admission,
-            rescheduler=resch,
+            registry=get_registry() if traced else None,
         )
+        if traced:
+            # Collect before close — worker rings die with the
+            # processes.  The wrapping `repro trace` exports this.
+            publish_fleet_trace(fleet.merged_trace())
+
+    # Per replica ("model@wN"): the format it ended in, and the one it
+    # started in — the first flip's source, or the end format if the
+    # replica never flipped.
+    final = {
+        f"{key}@w{w}": fmt
+        for w, fmts in sorted(report.snapshot.formats.items())
+        for key, fmt in sorted(fmts.items())
+    }
+    initial = dict(final)
+    for key, w, e in reversed(report.events):
+        initial[f"{key}@w{w}"] = e.from_fmt
+    events = [
+        {
+            "replica": f"{key}@w{w}",
+            "batch_seq": e.batch_seq,
+            "effective_k": e.effective_k,
+            "from": e.from_fmt,
+            "to": e.to_fmt,
+            "reason": e.reason,
+        }
+        for key, w, e in report.events
+    ]
     snap = report.metrics.snapshot()
     if args.json:
-        snap["workload"] = report.workload
-        snap["initial_format"] = fmt0
-        snap["final_format"] = report.final_format
-        snap["events"] = [e.reason for e in report.events]
+        snap.update(
+            workload=report.workload,
+            workers=n_workers,
+            initial_format=initial,
+            final_format=final,
+            events=events,
+            reschedule_events=len(events),
+            rebalances=len(report.rebalances),
+            per_shard_served={
+                str(s): c for s, c in report.per_shard_served.items()
+            },
+            transport={
+                str(w): stats
+                for w, stats in report.snapshot.transport.items()
+            },
+        )
         print(json.dumps(snap, indent=2, sort_keys=True))
         return 0
     lat = snap["latency"]
+    print(
+        f"fleet       : {n_workers} {args.backend} worker(s), "
+        f"{len(models)} model(s)"
+    )
     print(f"workload    : {report.workload} ({len(workload)} requests)")
     print(
         f"served      : {snap['served']} in {snap['batches']} batches "
@@ -375,21 +312,49 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"latency ms  : p50 {lat['p50_ms']:.3f}  p95 {lat['p95_ms']:.3f}  "
-        f"p99 {lat['p99_ms']:.3f} (virtual: coalescing wait)"
+        f"p99 {lat['p99_ms']:.3f} (virtual: wait + modelled service)"
     )
     print(f"throughput  : {snap['throughput_rps']:.0f} rps (virtual time)")
     print(
         f"spmm        : {snap['ops']['spmm_calls']} sweeps over "
         f"{snap['ops']['spmm_columns']} columns"
     )
-    print(f"format      : {fmt0} -> {report.final_format}")
-    for e in report.events:
-        print(
-            f"  reschedule at batch {e.batch_seq}: {e.from_fmt} -> "
-            f"{e.to_fmt} ({e.reason})"
+    print(
+        "per shard   : "
+        + "  ".join(
+            f"w{s}={c}" for s, c in sorted(report.per_shard_served.items())
         )
-    if not report.events:
-        print("  (no runtime re-schedule was warranted)")
+    )
+    for w, stats in sorted(report.snapshot.transport.items()):
+        per_req = (
+            (stats["hot_bytes_sent"] + stats["hot_bytes_received"])
+            / stats["hot_requests"]
+            if stats["hot_requests"]
+            else 0.0
+        )
+        print(
+            f"  w{w} transport: {stats['hot_requests']} reqs, "
+            f"{per_req:.0f} hot B/req, "
+            f"{stats['control_bytes_sent'] + stats['control_bytes_received']} "
+            f"control B"
+        )
+    for event in report.rebalances:
+        print(
+            f"  rebalance #{event.seq}: {event.model} -> shard "
+            f"{event.cold_shard} (hot shard {event.hot_shard}, "
+            f"imbalance {event.imbalance:.2f}x)"
+        )
+    for replica, fmt in final.items():
+        print(f"format      : {replica} {initial[replica]} -> {fmt}")
+    print(
+        f"reschedules : {len(events)} per-replica format flip(s)"
+        + ("" if events else " (none warranted)")
+    )
+    for e in events:
+        print(
+            f"  {e['replica']} batch {e['batch_seq']}: {e['from']} -> "
+            f"{e['to']} ({e['reason']})"
+        )
     return 0
 
 
@@ -841,16 +806,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="serve through a sharded multi-process fleet of N workers "
-        "(zero-copy shared-memory models, per-replica re-scheduling) "
-        "instead of one in-process engine",
+        help="fleet size (default 1; zero-copy shared-memory models, "
+        "per-replica re-scheduling); without --model, --workers "
+        "serves the multi-tenant demo instead of the flip model",
     )
     p.add_argument(
         "--backend",
         choices=("process", "local"),
         default="process",
-        help="fleet worker backend (--workers only; local runs the "
-        "identical wire protocol in-process)",
+        help="fleet worker backend (local runs the identical wire "
+        "protocol in-process)",
     )
     p.add_argument(
         "--json",

@@ -1,12 +1,16 @@
 """Human-readable decision reports.
 
 A runtime system that silently reorganises your data earns trust by
-showing its work.  :func:`explain` renders, for one dataset profile:
+showing its work.  :func:`explain` renders one
+:class:`~repro.core.scheduler.Decision` — the decision that was made,
+not a fresh ranking of its profile:
 
 1. the nine influencing parameters,
 2. the rule-based decision trace (which rule fired, why),
-3. the analytic cost model's full per-format ranking with the effective
-   element counts behind it,
+3. where the decision came from (``analytic``, ``tuned`` or
+   ``probe``) and its reason,
+4. the cost model's per-format ranking the decision was priced with,
+5. the probe timings, when the strategy measured,
 
 as one text block (``python -m repro schedule --explain`` prints it).
 """
@@ -15,18 +19,18 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.cost_model import ArchCalibration, CostModel
 from repro.core.rules import RuleThresholds, rule_based_choice
-from repro.features.profile import PARAMETER_NAMES, DatasetProfile
+from repro.core.scheduler import Decision
+from repro.features.profile import PARAMETER_NAMES
 
 
 def explain(
-    profile: DatasetProfile,
+    decision: Decision,
     *,
-    calibration: Optional[ArchCalibration] = None,
     thresholds: Optional[RuleThresholds] = None,
 ) -> str:
-    """Render the full decision rationale for one profile."""
+    """Render the full rationale of one scheduling decision."""
+    profile = decision.profile
     lines: List[str] = []
 
     lines.append("influencing parameters (paper Table IV)")
@@ -46,16 +50,25 @@ def explain(
     lines.append(f"     {rd.reason}")
     lines.append("")
 
-    model = CostModel(calibration)
-    ranked = model.rank(profile)
-    lines.append("analytic cost model ranking (lower = faster)")
-    best_cost = ranked[0].cost
-    for c in ranked:
-        rel = c.cost / best_cost if best_cost > 0 else 1.0
-        lines.append(
-            f"  {c.fmt:4s} cost={c.cost:12.4g}  ({rel:5.2f}x)  "
-            f"effective elements={c.elements:12.4g}  "
-            f"overhead={c.overhead:10.4g}"
-        )
-    lines.append(f"  -> {ranked[0].fmt}")
+    lines.append(
+        f"decision (strategy {decision.strategy}, "
+        f"batch_k {decision.batch_k})"
+    )
+    lines.append(f"  source {decision.source}")
+    lines.append(f"  reason {decision.reason}")
+    lines.append("")
+
+    lines.append("cost model ranking, predicted (lower = faster)")
+    best = min(decision.predicted.values(), default=0.0)
+    for fmt, cost in decision.predicted.items():
+        rel = cost / best if best > 0 else 1.0
+        lines.append(f"  {fmt:5s} cost={cost:12.4g}  ({rel:5.2f}x)")
+    if decision.measured:
+        lines.append("")
+        lines.append("probe, measured seconds")
+        for fmt, seconds in sorted(
+            decision.measured.items(), key=lambda kv: kv[1]
+        ):
+            lines.append(f"  {fmt:5s} {seconds:12.4g} s")
+    lines.append(f"-> {decision.fmt}")
     return "\n".join(lines)

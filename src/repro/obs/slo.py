@@ -17,9 +17,9 @@ flight-dump path ``tests/obs/test_slo.py`` checks.  Burn rates
 land in a metrics registry as gauges for scraping.
 
 Everything is clock-agnostic: observations carry their own timestamps
-(virtual or wall), so the monitor works identically under
-:func:`~repro.serve.fleet.simulate_fleet`'s virtual clock and a live
-session.
+(virtual or wall), so the monitor works identically under the
+virtual clock of :func:`~repro.serve.fleet.simulate_fleet` (the
+serving tier's one event loop) and a live session.
 """
 
 from __future__ import annotations

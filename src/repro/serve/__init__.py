@@ -31,7 +31,6 @@ from repro.serve.fleet import (
     simulate_fleet,
 )
 from repro.serve.loadgen import (
-    ServeReport,
     TenantSpec,
     TimedRequest,
     Workload,
@@ -43,7 +42,6 @@ from repro.serve.loadgen import (
     phase_shift,
     query_sampler,
     replay_unbatched,
-    simulate,
 )
 from repro.serve.metrics import LatencySummary, ServeMetrics, summarise_latencies
 from repro.serve.registry import ModelRegistry
@@ -100,7 +98,6 @@ __all__ = [
     "Router",
     "SegmentGroup",
     "ServeMetrics",
-    "ServeReport",
     "ServedModel",
     "ServiceModel",
     "ServingFleet",
@@ -121,7 +118,6 @@ __all__ = [
     "phase_shift",
     "query_sampler",
     "replay_unbatched",
-    "simulate",
     "simulate_fleet",
     "summarise_latencies",
 ]

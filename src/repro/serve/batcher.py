@@ -92,8 +92,8 @@ class MicroBatcher:
     def next_flush_at(self) -> Optional[float]:
         """Timestamp when ``poll`` would next flush; ``None`` if empty.
 
-        The load generator's event loop uses this to interleave batch
-        deadlines with arrivals in virtual-time order.
+        :func:`~repro.serve.fleet.simulate_fleet` uses this to
+        interleave batch deadlines with arrivals in virtual-time order.
         """
         with self._lock:
             if self._oldest_at is None:

@@ -14,9 +14,10 @@ runtime re-scheduling demo.
    is a wall-clock ratio.
 
 2. **re-schedule demo** (:func:`run_reschedule_demo`) — a deterministic
-   virtual-time :func:`~repro.serve.loadgen.phase_shift` workload on a
-   bimodal-row model whose cost ranking flips between effective batch
-   widths 1 and 8.  At least one runtime format re-schedule fires and
+   virtual-time :func:`~repro.serve.loadgen.phase_shift` workload,
+   served by a one-worker :func:`~repro.serve.fleet.simulate_fleet`
+   session, on a bimodal-row model whose cost ranking flips between
+   effective batch widths 1 and 8.  At least one runtime format re-schedule fires and
    every answer — across the mid-stream swap — is bitwise identical to
    the unbatched, format-pinned reference.  Being deterministic, it is
    a test (``tests/core/test_golden_decisions.py``) rather than part
@@ -42,12 +43,8 @@ from repro.serve.engine import (
     PairSlice,
     ServedModel,
 )
-from repro.serve.loadgen import (
-    phase_shift,
-    query_sampler,
-    replay_unbatched,
-    simulate,
-)
+from repro.serve.fleet import ServiceModel, ServingFleet, simulate_fleet
+from repro.serve.loadgen import phase_shift, query_sampler, replay_unbatched
 from repro.serve.rescheduler import FormatRescheduler
 from repro.svm.kernels import make_kernel
 
@@ -178,21 +175,19 @@ def run_reschedule_demo(*, smoke: bool = False) -> Dict:
     """Virtual-time phase-shift serving with a mid-stream format swap.
 
     Deterministic: seeded workload, virtual clock, no wall time in any
-    decision.  The bitwise checks compare every label against an
-    unbatched engine pinned to the initial format, and every decision
-    value of the post-swap engine against that same pinned engine.
+    decision.  One ``local`` worker serves with zero modelled service
+    time.  The bitwise checks compare every label, and every decision
+    value as served (before and after the swap), against an unbatched
+    engine pinned to the initial format.
     """
     model = flip_model(seed=0)
-    resch = FormatRescheduler(
+    policy = dict(
         window=32,
         check_every=8,
         min_gain=0.0,
         candidates=CLASSIC_SERVE_FORMATS,
     )
-    fmt0 = resch.initial_format(model.matrix)
-    engine = InferenceEngine(model)
-    engine.convert_to(fmt0)
-
+    fmt0 = FormatRescheduler(**policy).initial_format(model.matrix)
     sampler = query_sampler(model.n_features, 12)
     workload = phase_shift(
         sampler,
@@ -203,24 +198,28 @@ def run_reschedule_demo(*, smoke: bool = False) -> Dict:
         burst_gap_ms=5.0,
         seed=3,
     )
-    report = simulate(
-        engine,
-        workload,
-        max_batch=8,
-        max_wait_ms=2.0,
-        rescheduler=resch,
-    )
+    with ServingFleet(
+        {"flip": model},
+        1,
+        backend="local",
+        initial_formats={"flip": fmt0},
+        rescheduler=policy,
+    ) as fleet:
+        report = simulate_fleet(
+            fleet,
+            workload,
+            max_batch=8,
+            max_wait_ms=2.0,
+            service=ServiceModel(0.0, 0.0, 0.0),
+        )
 
     pinned = InferenceEngine(model.clone())
     pinned.convert_to(fmt0)
     reference = replay_unbatched(pinned, workload)
-    labels_ok = set(report.responses) == set(reference) and all(
-        report.responses[i] == reference[i] for i in report.responses
-    )
-    decisions_ok = all(
+    labels_ok = report.responses == reference
+    decisions_ok = set(report.decisions) == set(reference) and all(
         np.array_equal(
-            engine.decision_one(req.vector),
-            pinned.decision_one(req.vector),
+            report.decisions[req.req_id], pinned.decision_one(req.vector)
         )
         for req in workload.arrivals
     )
@@ -229,7 +228,7 @@ def run_reschedule_demo(*, smoke: bool = False) -> Dict:
         "workload": workload.name,
         "n_requests": len(workload),
         "initial_format": fmt0,
-        "final_format": report.final_format,
+        "final_format": report.snapshot.formats[0]["flip"],
         "events": [
             {
                 "batch_seq": e.batch_seq,
@@ -238,7 +237,7 @@ def run_reschedule_demo(*, smoke: bool = False) -> Dict:
                 "to": e.to_fmt,
                 "reason": e.reason,
             }
-            for e in report.events
+            for _key, _shard, e in report.events
         ],
         "served": snap["served"],
         "batches": snap["batches"],

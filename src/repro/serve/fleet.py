@@ -25,14 +25,15 @@
   :class:`~repro.serve.metrics.ServeMetrics` states into one exact
   fleet view and can mount it into the :mod:`repro.obs` registry.
 
-:func:`simulate_fleet` is the virtual-clock discrete-event loop over
-that machinery — the fleet twin of :func:`repro.serve.loadgen.
-simulate`, and what `tests/serve/test_fleet.py` checks: arrivals,
-per-replica micro-batch flushes and service completions interleave on
-one event heap, service cost is a deterministic :class:`ServiceModel`,
-and no wall clock is read anywhere, so throughput scaling and overload
-p99 are exact, testable numbers (and, being virtual, never a
-speedup headline).
+:func:`simulate_fleet` is the serving tier's one virtual-clock
+discrete-event loop, and what `tests/serve/test_fleet.py` and
+`tests/serve/test_golden_sessions.py` check: arrivals, per-replica
+micro-batch flushes and service completions interleave on one event
+heap, service cost is a deterministic :class:`ServiceModel`, and no
+wall clock is read anywhere, so throughput scaling and overload p99
+are exact, testable numbers (and, being virtual, never a speedup
+headline).  A one-worker ``local`` fleet with ``ServiceModel(0, 0, 0)``
+is the single-engine session: latency is pure coalescing wait.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.perf.counters import OpCounter
 from repro.serve.admission import AdmissionController, Request, Verdict
 from repro.serve.batcher import MicroBatcher
 from repro.serve.engine import ServedModel
-from repro.serve.loadgen import Workload
+from repro.serve.loadgen import TimedRequest, Workload
 from repro.serve.metrics import ServeMetrics
 from repro.serve.rescheduler import RescheduleEvent
 from repro.serve.router import (
@@ -512,7 +513,6 @@ class FleetReport:
     door: ServeMetrics
     events: List[Tuple[str, int, RescheduleEvent]]
     rebalances: List[RebalanceEvent]
-    format_history: List[Tuple[float, str, int, str]]
     max_inflight: int
     snapshot: FleetSnapshot
     per_shard_served: Dict[int, int] = field(default_factory=dict)
@@ -537,15 +537,24 @@ def simulate_fleet(
 ) -> FleetReport:
     """Serve a workload through the fleet on the virtual clock.
 
-    The discrete-event twin of :func:`repro.serve.loadgen.simulate`,
-    generalised to many shards: each ``(model, shard)`` replica has
-    its own :class:`~repro.serve.batcher.MicroBatcher`, each shard a
-    single virtual core (``busy_until``), and the door runs admission,
-    routing, hot-spot detection and rebalancing.  Worker predictions
-    happen at dispatch (so per-shard answer order equals virtual serve
-    order) while latency accounting uses the virtual start/finish
-    times; admission slots release at virtual completion, which is
-    what makes the overload experiment honest about in-flight bounds.
+    Each ``(model, shard)`` replica has its own
+    :class:`~repro.serve.batcher.MicroBatcher`, each shard a single
+    virtual core (``busy_until``), and the door runs admission,
+    routing, hot-spot detection and rebalancing.  Before an arrival at
+    ``t`` is admitted, every completion and flush deadline at or
+    before ``t`` fires; expired requests are dropped at serve time and
+    degraded requests bypass the batcher through the single-vector
+    path.  Worker predictions happen at dispatch (so per-shard answer
+    order equals virtual serve order) while latency accounting uses
+    the virtual start/finish times; admission slots release at virtual
+    completion, which is what makes the overload experiment honest
+    about in-flight bounds.  With ``ServiceModel(0, 0, 0)`` latency is
+    pure coalescing wait.
+
+    Traced, the run is one ``serve.simulate`` root span with
+    ``serve.admit``, ``serve.flush`` and ``serve.batch`` spans under
+    it; each batch's ``fleet.request`` nests under its
+    ``serve.batch``.
 
     ``slo`` is an optional :class:`~repro.obs.slo.SLOMonitor` fed the
     door's four streams on the virtual clock — request latency,
@@ -558,106 +567,88 @@ def simulate_fleet(
     responses: Dict[int, float] = {}
     decisions: Dict[int, np.ndarray] = {}
     events: List[Tuple[str, int, RescheduleEvent]] = []
-    format_history: List[Tuple[float, str, int, str]] = []
     rebalances: List[RebalanceEvent] = []
     per_shard_served: Dict[int, int] = {
         s: 0 for s in range(fleet.n_workers)
     }
     batchers: Dict[Tuple[str, int], MicroBatcher] = {}
-    last_fmt: Dict[Tuple[str, int], str] = {}
     busy_until = [0.0] * fleet.n_workers
     heap: List[Tuple[float, int, int, str, Any]] = []
     seq = 0
     inflight = 0
     max_inflight = 0
+    tracer = get_tracer()
 
     def push(t: float, prio: int, kind: str, payload: Any) -> None:
         nonlocal seq
         heapq.heappush(heap, (t, prio, seq, kind, payload))
         seq += 1
 
-    def note_format(t: float, key: str, shard: int, fmt: str) -> None:
-        if last_fmt.get((key, shard)) != fmt:
-            last_fmt[(key, shard)] = fmt
-            format_history.append((t, key, shard, fmt))
-
     def serve_batch(
         key: str, shard: int, batch: List[Request], at: float
     ) -> None:
         nonlocal inflight
-        live = [r for r in batch if not r.expired(at)]
-        dropped = len(batch) - len(live)
-        if dropped:
-            door.record_expired(dropped)
-            if admission is not None:
-                admission.release(dropped)
-            fleet.router.complete(shard, dropped)
-            inflight -= dropped
+        with tracer.span("serve.batch") as sp:
+            live = [r for r in batch if not r.expired(at)]
+            if tracer.enabled:
+                sp.set("size", len(batch))
+                sp.set("live", len(live))
+                sp.set("at", at)
+            dropped = len(batch) - len(live)
+            if dropped:
+                door.record_expired(dropped)
+                if admission is not None:
+                    admission.release(dropped)
+                fleet.router.complete(shard, dropped)
+                inflight -= dropped
+                if slo is not None:
+                    for _ in range(dropped):
+                        slo.observe_deadline(at, True)
+            if not live:
+                return
+            start = max(at, busy_until[shard])
+            fin = start + service.batch(len(live))
+            busy_until[shard] = fin
             if slo is not None:
-                for _ in range(dropped):
-                    slo.observe_deadline(at, True)
-        if not live:
-            return
-        start = max(at, busy_until[shard])
-        fin = start + service.batch(len(live))
-        busy_until[shard] = fin
-        if slo is not None:
-            slo.observe_shard(at, shard, start - at)
-            for r in live:
-                slo.observe_latency(fin, fin - r.arrived_at)
-                if r.deadline is not None:
-                    slo.observe_deadline(fin, False)
-        ids, labels, dec, fmt, event = fleet.predict_batch(
-            key,
-            shard,
-            [r.req_id for r in live],
-            [r.vector for r in live],
-            start,
-            fin,
-            [r.arrived_at for r in live],
-        )
-        for j, rid in enumerate(ids):
-            responses[rid] = float(labels[j])
-            decisions[rid] = dec[j]
-        per_shard_served[shard] += len(live)
-        note_format(at, key, shard, fmt)
-        if event is not None:
-            events.append((key, shard, event))
-            note_format(at, key, shard, event.to_fmt)
-        push(fin, _P_COMPLETE, "complete", (shard, len(live)))
+                slo.observe_shard(at, shard, start - at)
+                for r in live:
+                    slo.observe_latency(fin, fin - r.arrived_at)
+                    if r.deadline is not None:
+                        slo.observe_deadline(fin, False)
+            ids, labels, dec, _fmt, event = fleet.predict_batch(
+                key,
+                shard,
+                [r.req_id for r in live],
+                [r.vector for r in live],
+                start,
+                fin,
+                [r.arrived_at for r in live],
+            )
+            for j, rid in enumerate(ids):
+                responses[rid] = float(labels[j])
+                decisions[rid] = dec[j]
+            per_shard_served[shard] += len(live)
+            if event is not None:
+                events.append((key, shard, event))
+            push(fin, _P_COMPLETE, "complete", (shard, len(live)))
 
-    for req in workload.arrivals:
-        push(req.t, _P_ARRIVE, "arrive", req)
-
-    while heap:
-        t, prio, _, kind, payload = heapq.heappop(heap)
-        if kind == "complete":
-            shard, n = payload
-            if admission is not None:
-                admission.release(n)
-            fleet.router.complete(shard, n)
-            inflight -= n
-            continue
-        if kind == "flush":
-            key, shard = payload
-            batcher = batchers.get((key, shard))
-            if batcher is None:
-                continue
-            batch = batcher.poll(t)
-            if batch:
-                serve_batch(key, shard, batch, t)
-            continue
-        # Arrival.
-        req = payload
+    def arrive(req: TimedRequest, t: float) -> None:
+        nonlocal inflight, max_inflight
         key = req.model if req.model is not None else fleet.default_model
-        verdict = (
-            admission.admit() if admission is not None else Verdict.ACCEPTED
-        )
+        with tracer.span("serve.admit") as sp:
+            verdict = (
+                admission.admit()
+                if admission is not None
+                else Verdict.ACCEPTED
+            )
+            if tracer.enabled:
+                sp.set("req_id", req.req_id)
+                sp.set("verdict", verdict.name)
         if slo is not None:
             slo.observe_admission(t, verdict is Verdict.REJECTED)
         if verdict is Verdict.REJECTED:
             door.record_rejected()
-            continue
+            return
         inflight += 1
         max_inflight = max(max_inflight, inflight)
         r = Request(req.req_id, req.vector, req.t, req.deadline)
@@ -671,10 +662,10 @@ def simulate_fleet(
                 inflight -= 1
                 if slo is not None:
                     slo.observe_deadline(t, True)
-                continue
+                return
             shard, hotspot = fleet.router.dispatch(key)
             fin = t + service.single()
-            label, dec, fmt = fleet.predict_single(
+            label, dec, _fmt = fleet.predict_single(
                 key, shard, r.req_id, r.vector, t, fin
             )
             if slo is not None:
@@ -684,12 +675,11 @@ def simulate_fleet(
             responses[r.req_id] = float(label)
             decisions[r.req_id] = dec
             per_shard_served[shard] += 1
-            note_format(t, key, shard, fmt)
             push(fin, _P_COMPLETE, "complete", (shard, 1))
             event = fleet.maybe_rebalance(hotspot, t)
             if event is not None:
                 rebalances.append(event)
-            continue
+            return
         shard, hotspot = fleet.router.dispatch(key)
         event = fleet.maybe_rebalance(hotspot, t)
         if event is not None:
@@ -710,6 +700,32 @@ def simulate_fleet(
                 # batcher and does nothing.
                 push(flush_at, _P_FLUSH, "flush", (key, shard))
 
+    for req in workload.arrivals:
+        push(req.t, _P_ARRIVE, "arrive", req)
+
+    with tracer.span("serve.simulate") as sim_sp:
+        if tracer.enabled:
+            sim_sp.set("workload", workload.name)
+            sim_sp.set("n", len(workload))
+        while heap:
+            t, _, _, kind, payload = heapq.heappop(heap)
+            if kind == "arrive":
+                arrive(payload, t)
+            elif kind == "complete":
+                shard, n = payload
+                if admission is not None:
+                    admission.release(n)
+                fleet.router.complete(shard, n)
+                inflight -= n
+            else:
+                batch = batchers[payload].poll(t)
+                if batch:
+                    with tracer.span("serve.flush") as sp:
+                        if tracer.enabled:
+                            sp.set("deadline", t)
+                            sp.set("size", len(batch))
+                        serve_batch(*payload, batch, t)
+
     if slo is not None:
         slo.evaluate()
     snapshot = fleet.snapshot(door=door, registry=registry)
@@ -721,7 +737,6 @@ def simulate_fleet(
         door=door,
         events=events,
         rebalances=rebalances,
-        format_history=format_history,
         max_inflight=max_inflight,
         snapshot=snapshot,
         per_shard_served=per_shard_served,

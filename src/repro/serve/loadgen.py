@@ -1,14 +1,13 @@
-"""Deterministic load generation and virtual-time serving simulation.
+"""Deterministic load generation: seeded workloads on a virtual clock.
 
-Everything runs on a **virtual clock**: arrival times are drawn from a
-seeded RNG when the workload is built, the simulation advances time by
-jumping between arrival timestamps and batcher flush deadlines, and
-service cost (if modelled at all) is a fixed virtual constant.  No
-wall-clock reading happens anywhere in the logic, so a given
-``(workload, engine, knobs)`` triple replays bit-for-bit — the property
+Arrival times are drawn from a seeded RNG when the workload is built,
+so a workload is a fixed, fully materialised schedule — no wall-clock
+reading anywhere.  :func:`repro.serve.fleet.simulate_fleet` serves
+them (it is the serving tier's one event loop); a given
+``(workload, fleet, knobs)`` triple replays bit-for-bit, the property
 the serving determinism tests and the re-schedule demo rely on.
 
-Two workload shapes:
+Workload shapes:
 
 * :func:`open_loop` — Poisson arrivals at a target rate; requests
   arrive whether or not the server keeps up (the shape that exposes
@@ -22,6 +21,11 @@ Two workload shapes:
   simultaneous bursts (width ``max_batch``), which moves the cost
   model's ``batch_k`` amortisation enough to flip the winning format
   mid-stream.
+* :func:`bursty`, :func:`diurnal` and :func:`multi_tenant` — rate-
+  modulated and merged per-tenant streams for the fleet.
+
+:func:`replay_unbatched` is the reference every served session is
+compared against: each request through the single-vector path.
 """
 
 from __future__ import annotations
@@ -32,12 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.formats.base import SparseVector
-from repro.obs.trace import get_tracer
-from repro.serve.admission import AdmissionController, Request, Verdict
-from repro.serve.batcher import MicroBatcher
 from repro.serve.engine import InferenceEngine
-from repro.serve.metrics import ServeMetrics
-from repro.serve.rescheduler import FormatRescheduler, RescheduleEvent
 
 VectorSampler = Callable[[np.random.Generator], SparseVector]
 
@@ -379,143 +378,6 @@ def phase_shift(
             rid += 1
         t += burst_gap_ms / 1e3
     return Workload(name=name, arrivals=arrivals)
-
-
-@dataclass
-class ServeReport:
-    """Everything one simulated serving session produced."""
-
-    workload: str
-    responses: Dict[int, float]
-    metrics: ServeMetrics
-    events: List[RescheduleEvent]
-    final_format: str
-    format_history: List[Tuple[int, str]] = field(default_factory=list)
-
-
-def simulate(
-    engine: InferenceEngine,
-    workload: Workload,
-    *,
-    max_batch: int = 8,
-    max_wait_ms: float = 2.0,
-    admission: Optional[AdmissionController] = None,
-    rescheduler: Optional[FormatRescheduler] = None,
-    metrics: Optional[ServeMetrics] = None,
-    service_ms: float = 0.0,
-) -> ServeReport:
-    """Serve a workload on the virtual clock; returns the full report.
-
-    The event loop interleaves arrivals with batcher flush deadlines in
-    timestamp order: before admitting an arrival at ``t``, any pending
-    batch whose ``max_wait_ms`` deadline falls at or before ``t`` is
-    flushed and served at that deadline.  Expired requests are dropped
-    at serve time; degraded requests bypass the batcher through the
-    single-vector path.  With ``service_ms=0`` (default) the latency
-    histograms measure pure coalescing wait.
-    """
-    if metrics is None:
-        metrics = ServeMetrics(counter=engine.counter)
-    batcher = MicroBatcher(max_batch=max_batch, max_wait_ms=max_wait_ms)
-    responses: Dict[int, float] = {}
-    events: List[RescheduleEvent] = []
-    history: List[Tuple[int, str]] = []
-    service = service_ms / 1e3
-    tracer = get_tracer()
-
-    def serve_batch(batch: List[Request], at: float) -> None:
-        with tracer.span("serve.batch") as sp:
-            live = [r for r in batch if not r.expired(at)]
-            if tracer.enabled:
-                sp.set("size", len(batch))
-                sp.set("live", len(live))
-                sp.set("at", at)
-            dropped = len(batch) - len(live)
-            if dropped:
-                metrics.record_expired(dropped)
-            if admission is not None:
-                admission.release(len(batch))
-            if not live:
-                return
-            labels = engine.predict([r.vector for r in live])
-            finished = at + service
-            metrics.record_batch(
-                len(live), at, finished,
-                queued_at=[r.arrived_at for r in live],
-            )
-            for r, label in zip(live, labels):
-                responses[r.req_id] = float(label)
-            if rescheduler is not None:
-                evt = rescheduler.after_batch(
-                    len(live), engine.model.matrix
-                )
-                if evt is not None:
-                    engine.convert_to(evt.to_fmt)
-                    metrics.record_reschedule()
-                    events.append(evt)
-                    history.append((evt.batch_seq, evt.to_fmt))
-
-    def drain_until(t: Optional[float]) -> None:
-        """Serve every batch whose flush deadline is <= t (all if None)."""
-        while True:
-            fa = batcher.next_flush_at()
-            if fa is None or (t is not None and fa > t):
-                return
-            batch = batcher.poll(fa)
-            if batch:
-                with tracer.span("serve.flush") as sp:
-                    if tracer.enabled:
-                        sp.set("deadline", fa)
-                        sp.set("size", len(batch))
-                    serve_batch(batch, fa)
-
-    with tracer.span("serve.simulate") as sim_sp:
-        if tracer.enabled:
-            sim_sp.set("workload", workload.name)
-            sim_sp.set("n", len(workload))
-        for req in workload.arrivals:
-            drain_until(req.t)
-            with tracer.span("serve.admit") as sp:
-                verdict = (
-                    admission.admit()
-                    if admission is not None
-                    else Verdict.ACCEPTED
-                )
-                if tracer.enabled:
-                    sp.set("req_id", req.req_id)
-                    sp.set("verdict", verdict.name)
-            if verdict is Verdict.REJECTED:
-                metrics.record_rejected()
-                continue
-            r = Request(req.req_id, req.vector, req.t, req.deadline)
-            if verdict is Verdict.DEGRADED:
-                # Shed path: answer immediately, single-vector kernel,
-                # no coalescing wait added to a queue that is already
-                # deep.
-                if r.expired(req.t):
-                    metrics.record_expired()
-                else:
-                    responses[r.req_id] = engine.predict_one(r.vector)
-                    metrics.record_single(req.t, req.t + service)
-                    metrics.record_degraded()
-                admission.release()
-                continue
-            full = batcher.submit(r, req.t)
-            if full:
-                serve_batch(full, req.t)
-        drain_until(None)
-        tail = batcher.flush()
-        if tail:
-            serve_batch(tail, tail[-1].arrived_at + batcher.max_wait)
-
-    return ServeReport(
-        workload=workload.name,
-        responses=responses,
-        metrics=metrics,
-        events=events,
-        final_format=engine.format,
-        format_history=history,
-    )
 
 
 def replay_unbatched(

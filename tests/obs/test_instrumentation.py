@@ -20,11 +20,10 @@ from repro.obs.trace import span_tree
 from repro.parallel.kernels import parallel_matvec
 from repro.parallel.pool import WorkerPool
 from repro.serve.bench import CLASSIC_SERVE_FORMATS, flip_model
-from repro.serve.engine import InferenceEngine
-from repro.serve.loadgen import open_loop, query_sampler, simulate
-from repro.serve.rescheduler import FormatRescheduler
+from repro.serve.loadgen import open_loop, query_sampler
 from repro.svm.kernels import LinearKernel
 from repro.svm.smo import smo_train
+from tests.serve.one_worker import serve_one_worker
 
 
 def _spans(tracer, name):
@@ -155,20 +154,18 @@ class TestParallelInstrumentation:
 class TestServeInstrumentation:
     def test_simulate_span_tree_and_serve_audit(self, global_tracer):
         model = flip_model(seed=0)
-        resch = FormatRescheduler(
+        policy = dict(
             window=16,
             check_every=4,
             min_gain=0.0,
             candidates=CLASSIC_SERVE_FORMATS,
         )
-        engine = InferenceEngine(model)
-        engine.convert_to(resch.initial_format(model.matrix))
         sampler = query_sampler(model.n_features, 10)
         workload = open_loop(48, 20_000.0, sampler, seed=4)
         with audit_dataset("flip-demo"):
-            report = simulate(
-                engine, workload, max_batch=8, max_wait_ms=2.0,
-                rescheduler=resch,
+            report = serve_one_worker(
+                model, workload, rescheduler=policy, max_batch=8,
+                max_wait_ms=2.0,
             )
         sims = _spans(global_tracer, "serve.simulate")
         assert len(sims) == 1
@@ -189,20 +186,17 @@ class TestServeInstrumentation:
         serve_records = audit_log().records("serve")
         assert len(serve_records) == len(report.events)
         rec = serve_records[0]
+        _key, _shard, first = report.events[0]
         assert rec.dataset == "flip-demo"
-        assert rec.chosen == report.events[0].to_fmt
-        assert rec.batch_k == report.events[0].effective_k
+        assert rec.chosen == first.to_fmt
+        assert rec.batch_k == first.effective_k
         assert rec.predicted
 
     def test_simulation_identical_with_tracing_off(self, global_tracer):
         model = flip_model(seed=1)
         sampler = query_sampler(model.n_features, 10)
         workload = open_loop(24, 50.0, sampler, seed=5)
-        traced = simulate(
-            InferenceEngine(model.clone()), workload
-        ).responses
+        traced = serve_one_worker(model.clone(), workload).responses
         global_tracer.disable()
-        bare = simulate(
-            InferenceEngine(model.clone()), workload
-        ).responses
+        bare = serve_one_worker(model.clone(), workload).responses
         assert traced == bare

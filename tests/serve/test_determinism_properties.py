@@ -20,9 +20,11 @@ from repro.serve import (
     phase_shift,
     query_sampler,
     replay_unbatched,
-    simulate,
+    simulate_fleet,
 )
 from repro.serve.bench import synthetic_model
+
+from .one_worker import KEY, ZERO_SERVICE, one_worker_fleet, serve_one_worker
 
 # One small model for every example: building it is the expensive part,
 # and the property quantifies over workloads and knobs, not models.
@@ -67,8 +69,8 @@ def test_any_interleaving_matches_unbatched(
     seed, n, rate, max_batch, max_wait_ms
 ):
     w = open_loop(n, rate, SAMPLER, seed=seed)
-    report = simulate(
-        InferenceEngine(MODEL.clone()),
+    report = serve_one_worker(
+        MODEL.clone(),
         w,
         max_batch=max_batch,
         max_wait_ms=max_wait_ms,
@@ -95,13 +97,16 @@ def test_reschedule_every_batch_stays_bitwise(
         burst_size=burst_size,
         seed=seed,
     )
-    engine = InferenceEngine(MODEL.clone())
-    engine.convert_to(start)
     toggler = _ToggleRescheduler()
-    report = simulate(
-        engine, w, max_batch=burst_size, rescheduler=toggler
-    )
+    with one_worker_fleet(MODEL.clone(), fmt0=start) as fleet:
+        # Install the adversary in the worker: every served batch
+        # swaps the replica's format.
+        fleet.shards[0].server.reschedulers[KEY] = toggler
+        report = simulate_fleet(
+            fleet, w, max_batch=burst_size, service=ZERO_SERVICE
+        )
     assert toggler.events, "the toggler must actually swap formats"
+    assert len(report.events) == len(toggler.events)
     pinned = InferenceEngine(MODEL.clone())
     pinned.convert_to(start)
     assert report.responses == replay_unbatched(pinned, w)

@@ -169,13 +169,101 @@ class TestExplain:
         assert "cost model ranking" in out
 
     def test_explain_function_directly(self):
-        from repro.core import explain
+        from repro.core import LayoutScheduler, explain
         from repro.data import load_dataset
 
         p = load_dataset("trefethen", seed=0).profile
-        text = explain(p)
+        text = explain(LayoutScheduler("rules").decide_profile(p, batch_k=1))
         assert "banded" in text  # the rule that fires for trefethen
         assert "DIA" in text
+
+    def test_explain_renders_the_tuned_decision(
+        self, libsvm_file, tmp_path, monkeypatch, capsys
+    ):
+        # A warm tuning-cache key forces the format the cost model
+        # ranks last; the explanation must describe that decision,
+        # not the model's own pick.
+        from repro.core import LayoutScheduler
+        from repro.data import read_libsvm
+        from repro.features.extract import profile_from_coo
+        from repro.tune.cache import reset_tune_cache, tune_cache
+        from repro.tune.space import FORMAT_FAMILY
+
+        path, n = libsvm_file
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
+        reset_tune_cache()
+        try:
+            (rows, cols, vals, shape), _y = read_libsvm(path, n_features=n)
+            cold = LayoutScheduler("cost").decide_from_coo(
+                rows, cols, vals, shape
+            )
+            forced = list(cold.predicted)[-1]
+            assert forced != cold.fmt
+            tune_cache().put(
+                FORMAT_FAMILY,
+                {"fmt": forced.lower(), "batch_k": 1},
+                profile=profile_from_coo(rows, cols, shape),
+            )
+            capsys.readouterr()
+            assert (
+                main(
+                    [
+                        "schedule", path, "--n-features", str(n),
+                        "--strategy", "cost", "--explain",
+                    ]
+                )
+                == 0
+            )
+        finally:
+            reset_tune_cache()
+        out = capsys.readouterr().out
+        assert f"format   : {forced}" in out
+        explanation = out.split("\n\n", 1)[1]
+        assert "source tuned" in explanation
+        assert explanation.rstrip().splitlines()[-1] == f"-> {forced}"
+
+
+class TestServeCLI:
+    def test_serve_default_demo_reschedules_once(self, capsys):
+        import json
+
+        assert main(["serve", "--json", "--backend", "local"]) == 0
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["served"] == 264
+        assert snap["batches"] == 89
+        assert snap["degraded"] == 0
+        assert snap["workers"] == 1
+        assert [
+            (e["from"], e["to"], e["effective_k"]) for e in snap["events"]
+        ] == [("ELL", "COO", 6)]
+        assert snap["initial_format"] == {"flip@w0": "ELL"}
+        assert snap["final_format"] == {"flip@w0": "COO"}
+
+    def test_serve_loaded_model_on_two_workers(self, tmp_path, capsys):
+        import json
+
+        from repro.svm import SVC
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((120, 7))
+        y = np.where(x[:, 0] + x[:, 1] > 0, 1.0, -1.0)
+        path = tmp_path / "model.npz"
+        SVC("gaussian", gamma=0.4, C=2.0).fit(x, y).save(path)
+        assert (
+            main(
+                [
+                    "serve", "--model", str(path), "--workers", "2",
+                    "--backend", "local", "--json",
+                ]
+            )
+            == 0
+        )
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["workers"] == 2
+        assert snap["served"] == 264
+        assert set(snap["per_shard_served"]) == {"0", "1"}
+        assert all(c > 0 for c in snap["per_shard_served"].values())
+        assert sum(snap["per_shard_served"].values()) == snap["served"]
 
 
 class TestObservabilityCLI:
