@@ -84,5 +84,6 @@ wall-bench-smoke:
 	$(PYTHON) -m pytest bench/tests -q
 	$(PYTHON) -m bench run --smoke
 
-## Everything CI gates on.
-check: lint race test test-sanitize test-trace test-race
+## Everything CI gates on (bench-smoke rewrites the BENCH_*.json
+## records in the repo root, as CI's job does).
+check: lint race test test-sanitize test-trace test-race paper-shapes obs-report-smoke bench-smoke wall-bench-smoke

@@ -262,12 +262,12 @@ class LayoutScheduler:
         """Decide the layout for a matrix given as COO triples.
 
         Every call is audited: the nine profile parameters, the
-        model's per-format costs and the chosen format land in the
-        process :func:`~repro.obs.audit.audit_log`.  Under tracing the
-        decision is additionally *measured* (once per quantised
-        profile key) so the audit record can report regret.  The
-        decision itself is identical with and without tracing —
-        observation never changes scheduling.
+        model's per-format costs, the chosen format and any probe
+        timings the strategy took land in the process
+        :func:`~repro.obs.audit.audit_log`.  Nothing is measured for
+        the record's sake, so tracing never changes the work done: a
+        ``rules`` or ``cost`` decision audits with no measurement (and
+        no regret), traced or not.
         """
         tracer = get_tracer()
         with tracer.span("schedule.decide") as sp:
@@ -280,7 +280,7 @@ class LayoutScheduler:
                 sp.set("cached", decision.cached)
                 sp.set("batch_k", decision.batch_k)
                 sp.set("source", decision.source)
-            self._audit(decision, coo)
+            audit_log().record(decision.record("schedule"))
         return decision
 
     def decide_profile(
@@ -402,40 +402,6 @@ class LayoutScheduler:
                 f"{best.fmt} measured fastest"
             )
         return best.fmt, reason, measured
-
-    def _audit(self, decision: Decision, coo: CooTriples) -> None:
-        """Leave the decision's audit record (regret inputs included).
-
-        ``predicted`` always carries the analytic model's view of the
-        priced candidates.  ``measured`` is whatever the strategy
-        probed anyway; when tracing is on and the strategy did not
-        probe, the priced candidates are measured here — once per
-        quantised profile key (:meth:`AuditLog.seen_measurement`), so
-        traced test suites pay for one probe per distinct shape, not
-        one per ``schedule()`` call.  The measurement lands in the
-        record only; the returned decision is unchanged.
-        """
-        log = audit_log()
-        tracer = get_tracer()
-        key = DecisionCache.key(decision.profile, decision.batch_k)
-        if decision.measured:
-            log.mark_measured(key)
-        elif (
-            tracer.enabled
-            and not decision.cached
-            and self.priced
-            and not log.seen_measurement(key)
-        ):
-            with tracer.span("schedule.measure") as sp:
-                results = self.tuner.probe(*coo, self.priced)
-                decision = replace(
-                    decision,
-                    measured={r.fmt: r.median_seconds for r in results},
-                )
-                if tracer.enabled:
-                    sp.set("formats", len(results))
-            log.mark_measured(key)
-        log.record(decision.record("schedule"))
 
     def decide(self, matrix: MatrixFormat) -> Decision:
         """Decide the layout for an already-stored matrix."""

@@ -4,20 +4,22 @@ Every ``schedule()`` call — training-time layout decisions and
 serving-time re-schedule flips alike — leaves a :class:`DecisionRecord`
 here: the nine influencing parameters the paper's decision system runs
 on, the per-format costs the model predicted, and the format that was
-chosen.  When tracing is enabled the scheduler additionally *measures*
-each candidate (the autotuner's probe discipline), so the record can
-answer the question the repo previously could not: did the prediction
-pick the format that actually won?
+chosen.  A record's measured costs are the probes its strategy ran
+anyway (``probe``, ``hybrid``); nothing is measured for the audit's
+sake, so tracing never changes the work a decision does.  ``repro obs
+report`` measures every format on purpose, so its records answer the
+question the model has to face: did the prediction pick the format
+that actually won?
 
 **Regret** is the measured penalty of trusting the model::
 
     regret = measured(predicted_best) / measured(measured_best) - 1
 
 0.0 means the model's winner was also the measured winner; 0.25 means
-the run paid 25 % over the best available layout.  ``repro obs
-report`` renders the per-dataset regret table over the synthetic
-suite; per-flip serve records appear in the same log with
-``source="serve"``.
+the run paid 25 % over the best available layout; ``None`` means the
+model's winner was not measured.  ``repro obs report`` renders the
+per-dataset regret table over the synthetic suite; per-flip serve
+records appear in the same log with ``source="serve"``.
 
 Dataset labels travel on a context variable
 (:func:`audit_dataset`) so the scheduler itself stays label-agnostic.
@@ -29,7 +31,7 @@ import contextlib
 import contextvars
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.analysis.race import make_lock, track_shared
 
@@ -58,7 +60,9 @@ class DecisionRecord:
 
     ``predicted`` maps format name to model cost (dimensionless model
     units); ``measured`` maps format name to probed median seconds and
-    is empty unless tracing was on (or the strategy probed anyway).
+    holds only what was probed: the formats a ``probe`` or ``hybrid``
+    strategy raced, or every format in a ``repro obs report`` record.
+    It is empty for ``rules`` and ``cost`` decisions, traced or not.
     """
 
     source: str  #: "schedule" (training-time) or "serve" (runtime flip)
@@ -92,13 +96,17 @@ class DecisionRecord:
     def regret(self) -> Optional[float]:
         """Measured cost penalty of the model's pick; ``None`` if the
         record carries no measurement covering the predicted best."""
-        pb, mb = self.predicted_best, self.measured_best
-        if pb is None or mb is None or pb not in self.measured:
+        return self.penalty(self.predicted_best)
+
+    def penalty(self, fmt: Optional[str]) -> Optional[float]:
+        """Measured cost of ``fmt`` over the measured best, minus one;
+        ``None`` if ``fmt`` was not measured."""
+        if fmt is None or fmt not in self.measured:
             return None
-        best = self.measured[mb]
+        best = min(self.measured.values())
         if best <= 0.0:
             return 0.0
-        return self.measured[pb] / best - 1.0
+        return self.measured[fmt] / best - 1.0
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -135,22 +143,14 @@ class DecisionRecord:
 
 
 class AuditLog:
-    """Bounded, thread-safe store of decision records.
-
-    ``seen_measurement`` / ``mark_measured`` implement the probing
-    dedupe: under ``REPRO_TRACE=1`` the scheduler measures candidates
-    once per (quantised profile, batch_k) key, so a test suite that
-    schedules the same shapes hundreds of times pays for one probe,
-    not hundreds.
-    """
+    """Bounded, thread-safe store of decision records."""
 
     def __init__(self, maxlen: int = 4096) -> None:
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         self._records: Deque[DecisionRecord] = deque(maxlen=maxlen)
-        self._measured_keys: set = set()
         self._lock = make_lock("obs.audit")
-        track_shared(self, ("_records", "_measured_keys"))
+        track_shared(self, ("_records",))
 
     def record(self, rec: DecisionRecord) -> None:
         with self._lock:
@@ -166,20 +166,10 @@ class AuditLog:
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
-            self._measured_keys.clear()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
-
-    # -- measurement dedupe ---------------------------------------------
-    def seen_measurement(self, key: Tuple) -> bool:
-        with self._lock:
-            return key in self._measured_keys
-
-    def mark_measured(self, key: Tuple) -> None:
-        with self._lock:
-            self._measured_keys.add(key)
 
 
 # -- regret rollup -------------------------------------------------------
@@ -231,18 +221,24 @@ def regret_rows(records: List[DecisionRecord]) -> List[RegretRow]:
 def regret_by_decision_source(
     records: List[DecisionRecord],
 ) -> Dict[str, Dict[str, Any]]:
-    """Aggregate regret split by where the decision came from.
+    """Aggregate the regret of the pick made, split by where it came
+    from.
 
-    Returns ``{decision_source: {"n", "n_with_regret", "mean_regret",
-    "max_regret"}}`` — the comparison the tuning cache has to win: if
-    ``tuned`` decisions carry more regret than ``analytic`` ones, the
-    cache is hurting and should be reset.
+    Each record contributes ``penalty(chosen)``: what the format the
+    decision actually chose cost over the measured best.  (The table's
+    per-row regret prices the *model's* pick; a tuned or probed
+    decision can choose something else, and this split judges that
+    choice.)  Returns ``{decision_source: {"n", "n_with_regret",
+    "mean_regret", "max_regret"}}`` — the comparison the tuning cache
+    has to win: if ``tuned`` decisions carry more regret than
+    ``analytic`` ones, the cache is hurting and should be reset.
     """
     out: Dict[str, Dict[str, Any]] = {}
     for src in sorted({r.decision_source for r in records}):
         subset = [r for r in records if r.decision_source == src]
         regrets = [
-            g for g in (r.regret() for r in subset) if g is not None
+            g for g in (r.penalty(r.chosen) for r in subset)
+            if g is not None
         ]
         out[src] = {
             "n": len(subset),

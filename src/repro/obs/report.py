@@ -1,10 +1,14 @@
 """The ``repro obs report`` regret suite.
 
 Runs the paper's decision system against ground truth on a fixed
-family of synthetic shapes: for each dataset the analytic cost model
-*predicts* a per-format ranking and the autotuner *measures* one, and
-the gap between the model's pick and the measured winner is the
-model's **regret** on that shape (see :mod:`repro.obs.audit`).
+family of synthetic shapes: for each dataset the scheduler's ``cost``
+strategy decides (its record carries the analytic model's per-format
+*prediction*) and the autotuner *measures* every format, and the gap
+between the model's pick and the measured winner is the model's
+**regret** on that shape (see :mod:`repro.obs.audit`).  The decision
+is the one any caller gets — a warm tuning-cache key wins, and the
+record says so — but the prediction and the measurement do not depend
+on it.
 
 The suite spans the structures the nine parameters are supposed to
 discriminate:
@@ -28,12 +32,13 @@ regret number is the point of the report.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.autotune import AutoTuner
-from repro.core.cost_model import CostModel
+from repro.core.scheduler import LayoutScheduler
 from repro.data.synthetic import (
     CooTriples,
     banded_matrix,
@@ -45,6 +50,7 @@ from repro.features.extract import profile_from_coo
 from repro.formats.base import FORMAT_NAMES
 from repro.obs.audit import (
     DecisionRecord,
+    audit_dataset,
     regret_by_decision_source,
     regret_rows,
     render_regret_table,
@@ -100,48 +106,35 @@ def run_report(
     seed: int = 0,
     batch_k: int = 1,
 ) -> List[DecisionRecord]:
-    """Predict and measure every suite dataset; one record per dataset.
+    """Decide and measure every suite dataset; one record per dataset.
 
-    Each record carries the full nine-parameter profile, the analytic
-    model's per-format costs and the autotuner's measured medians over
-    the same candidates, so downstream regret math needs nothing else.
-    ``quick`` shrinks the shapes for CI smoke runs.
+    Each record is the ``cost`` scheduler's decision at ``batch_k``
+    (the full nine-parameter profile, the analytic model's per-format
+    costs, the chosen format and where it came from) with the
+    autotuner's measured medians over every format, so downstream
+    regret math needs nothing else.  ``quick`` shrinks the shapes for
+    CI smoke runs.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     m, n = (256, 128) if quick else (1024, 512)
-    model = CostModel()
+    scheduler = LayoutScheduler("cost")
     tuner = AutoTuner(repeats=repeats, seed=seed)
     tracer = get_tracer()
     records: List[DecisionRecord] = []
     for name, build in REPORT_DATASETS:
-        with tracer.span("obs.report.dataset") as sp:
+        with tracer.span("obs.report.dataset") as sp, audit_dataset(name):
             if tracer.enabled:
                 sp.set("dataset", name)
             rows, cols, values, shape = build(m, n, seed)
             profile = profile_from_coo(rows, cols, shape, validated=True)
-            predicted = {
-                fc.fmt: fc.cost
-                for fc in model.rank(
-                    profile, FORMAT_NAMES, batch_k=batch_k
-                )
-            }
+            decision = scheduler.decide_profile(profile, batch_k=batch_k)
+            # Every format, whatever was chosen: the report measures on
+            # purpose, so a warm tuning cache cannot narrow it.
             results = tuner.probe(rows, cols, values, shape, FORMAT_NAMES)
             measured = {r.fmt: r.median_seconds for r in results}
-            chosen = min(predicted, key=predicted.__getitem__)
             records.append(
-                DecisionRecord(
-                    source="schedule",
-                    dataset=name,
-                    strategy="cost",
-                    batch_k=batch_k,
-                    chosen=chosen,
-                    reason="obs report suite (predicted vs measured)",
-                    cached=False,
-                    features=profile.as_dict(),
-                    predicted=predicted,
-                    measured=measured,
-                )
+                replace(decision, measured=measured).record("schedule")
             )
     return records
 
@@ -207,16 +200,18 @@ def render_report(records: List[DecisionRecord]) -> str:
     by_src = payload["by_decision_source"]
     if len(by_src) > 1:
         # Worth a breakdown only when decisions actually came from more
-        # than one place (analytic vs tuned vs probe).
+        # than one place (analytic vs tuned vs probe).  Each line prices
+        # the format chosen, not the model's pick.
         for src, agg in by_src.items():
             if agg["mean_regret"] is None:
                 lines.append(
                     f"  via {src:<9s}: {agg['n']} decisions, "
-                    f"no measurements"
+                    f"chosen formats not measured"
                 )
             else:
                 lines.append(
-                    f"  via {src:<9s}: {agg['n']} decisions, mean regret "
+                    f"  via {src:<9s}: {agg['n']} decisions, chosen "
+                    f"format's mean regret "
                     f"{agg['mean_regret'] * 100:.1f}%, max "
                     f"{agg['max_regret'] * 100:.1f}%"
                 )

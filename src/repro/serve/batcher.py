@@ -82,13 +82,6 @@ class MicroBatcher:
                 return self._drain()
             return None
 
-    def flush(self) -> Optional[List[Request]]:
-        """Unconditionally drain whatever is pending (shutdown path)."""
-        with self._lock:
-            if self._pending:
-                return self._drain()
-            return None
-
     def next_flush_at(self) -> Optional[float]:
         """Timestamp when ``poll`` would next flush; ``None`` if empty.
 

@@ -229,9 +229,12 @@ class ServeMetrics:
 
     @property
     def mean_batch(self) -> float:
+        """Mean SpMM batch width: columns swept per batch.  Degraded
+        single-vector answers count toward ``served`` but never formed
+        a batch, so the width comes from the batch histogram."""
         if not self.batches:
             return 0.0
-        return self.served / self.batches
+        return sum(k * n for k, n in self.batch_sizes.items()) / self.batches
 
     def batch_histogram(self) -> Dict[int, int]:
         return dict(sorted(self.batch_sizes.items()))

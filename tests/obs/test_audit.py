@@ -1,4 +1,4 @@
-"""Decision audit log: regret math, dataset labels, dedupe keys."""
+"""Decision audit log: regret math, dataset labels, the source split."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from repro.obs.audit import (
     DecisionRecord,
     audit_dataset,
     current_dataset,
+    regret_by_decision_source,
     regret_rows,
     render_regret_table,
 )
@@ -98,15 +99,35 @@ class TestAuditLog:
         with pytest.raises(ValueError):
             AuditLog(maxlen=0)
 
-    def test_measurement_dedupe_keys(self):
+    def test_clear_empties_the_log(self):
         log = AuditLog()
-        key = (("m", 10.0), 1)
-        assert not log.seen_measurement(key)
-        log.mark_measured(key)
-        assert log.seen_measurement(key)
+        log.record(_record())
         log.clear()
-        assert not log.seen_measurement(key)
         assert len(log) == 0
+        assert log.records() == []
+
+
+class TestRegretBySource:
+    def test_split_prices_the_pick_not_the_model(self):
+        # A tuned decision chose CSR where the model's pick was ELL:
+        # the table's regret is the model's (+100 %), the per-source
+        # split is the tuning cache's (CSR measured best: 0 %).
+        tuned = _record(chosen="CSR", decision_source="tuned")
+        assert tuned.regret() == pytest.approx(1.0)
+        split = regret_by_decision_source([tuned])["tuned"]
+        assert split["n"] == split["n_with_regret"] == 1
+        assert split["mean_regret"] == 0.0
+        assert split["max_regret"] == 0.0
+
+    def test_unmeasured_pick_has_no_split_regret(self):
+        probed = _record(
+            chosen="COO", decision_source="probe",
+            measured={"ELL": 2e-6, "CSR": 1e-6},
+        )
+        split = regret_by_decision_source([probed])["probe"]
+        assert split["n"] == 1
+        assert split["n_with_regret"] == 0
+        assert split["mean_regret"] is None
 
 
 class TestRegretTable:

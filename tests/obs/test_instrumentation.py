@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.autotune import AutoTuner, ProbeResult
 from repro.core.scheduler import LayoutScheduler
 from repro.data.synthetic import uniform_rows_matrix
 from repro.formats.convert import convert, from_dense
@@ -81,20 +82,45 @@ class TestSchedulerInstrumentation:
         assert rec.predicted  # analytic costs always present
         assert rec.features["m"] == 128.0
 
-    def test_traced_decide_measures_once_per_profile(
-        self, global_tracer
+    @pytest.mark.parametrize("strategy", ["rules", "cost", "probe", "hybrid"])
+    def test_tracing_never_adds_probes(
+        self, global_tracer, monkeypatch, strategy
     ):
+        # Count every AutoTuner.probe call; the stand-in times each
+        # format by its name so the probing strategies decide the same
+        # way on both runs and the audit records compare exactly.
+        calls = []
+
+        def counted_probe(self, rows, cols, values, shape, candidates=None):
+            calls.append(candidates)
+            return sorted(
+                ProbeResult(fmt, 1e-6 * (1 + i), 0.0, 8)
+                for i, fmt in enumerate(sorted(candidates))
+            )
+
+        monkeypatch.setattr(AutoTuner, "probe", counted_probe)
         rows, cols, values, shape = self._coo()
-        sched = LayoutScheduler("cost")
-        sched.decide_from_coo(rows, cols, values, shape)
-        first = audit_log().records("schedule")[-1]
-        assert first.measured  # tracing bought a measurement
-        assert first.regret() is not None
-        # An identical matrix hits the decision cache AND the
-        # measurement-dedupe key: no second schedule.measure span.
-        sched.cache.clear()  # force a re-decide, keep the measure key
-        sched.decide_from_coo(rows, cols, values, shape)
-        assert len(_spans(global_tracer, "schedule.measure")) == 1
+
+        def run(traced):
+            global_tracer.enabled = traced
+            audit_log().clear()
+            before = len(calls)
+            with audit_dataset("guard"):
+                decision = LayoutScheduler(strategy).decide_from_coo(
+                    rows, cols, values, shape
+                )
+            return decision, len(calls) - before, audit_log().records()
+
+        bare, bare_probes, bare_records = run(False)
+        traced, traced_probes, traced_records = run(True)
+        assert traced_probes == bare_probes == (
+            1 if strategy in ("probe", "hybrid") else 0
+        )
+        assert traced == bare
+        assert traced.measured == bare.measured
+        assert len(traced_records) == len(bare_records) == 1
+        assert traced_records[0].as_dict() == bare_records[0].as_dict()
+        assert traced_records[0].measured == dict(bare.measured)
 
 
 class TestConvertInstrumentation:

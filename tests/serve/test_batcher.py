@@ -71,13 +71,6 @@ class TestDeadlineFlush:
 
 
 class TestFlushAndIntrospection:
-    def test_flush_drains_everything(self):
-        b = MicroBatcher(max_batch=8, max_wait_ms=2.0)
-        b.submit(_req(0), 0.0)
-        b.submit(_req(1), 0.0)
-        assert [r.req_id for r in b.flush()] == [0, 1]
-        assert b.flush() is None
-
     def test_next_flush_at_empty_is_none(self):
         b = MicroBatcher()
         assert b.next_flush_at() is None

@@ -33,6 +33,20 @@ class TestServeMetrics:
         assert m.batch_histogram() == {1: 1, 4: 1}
         assert len(m.latencies) == 5
 
+    def test_mean_batch_ignores_degraded_single_answers(self):
+        # Degraded answers are served but never formed a batch: the
+        # mean width is columns per batch, not served per batch.
+        m = ServeMetrics()
+        m.record_batch(8, 1.0, 1.01)
+        m.record_batch(3, 2.0, 2.01)
+        for t in (3.0, 3.1, 3.2, 3.3):
+            m.record_single(t, t + 0.001)
+        m.record_degraded(4)
+        assert m.served == 15
+        assert m.batches == 2
+        assert m.mean_batch == pytest.approx(5.5)
+        assert m.snapshot()["mean_batch"] == pytest.approx(5.5)
+
     def test_queued_at_latency_includes_coalescing_wait(self):
         m = ServeMetrics()
         m.record_batch(1, 1.0, 1.01, queued_at=[0.5])
