@@ -56,10 +56,12 @@ bench:
 
 ## Every suite in the harness's table in quick mode, as CI's
 ## bench-smoke job runs them; fails when any suite's enforced gate does.
+## Records go to build/bench/, so the committed BENCH_*.json stay put.
 bench-smoke:
+	mkdir -p build/bench; \
 	rc=0; \
 	for suite in $$(PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "from repro.perf.harness import SUITES; print(*SUITES)"); do \
-		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench $$suite --quick || rc=1; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench $$suite --quick --out build/bench/BENCH_$$suite.json || rc=1; \
 	done; \
 	exit $$rc
 
@@ -84,6 +86,5 @@ wall-bench-smoke:
 	$(PYTHON) -m pytest bench/tests -q
 	$(PYTHON) -m bench run --smoke
 
-## Everything CI gates on (bench-smoke rewrites the BENCH_*.json
-## records in the repo root, as CI's job does).
+## Everything CI gates on.
 check: lint race test test-sanitize test-trace test-race paper-shapes obs-report-smoke bench-smoke wall-bench-smoke

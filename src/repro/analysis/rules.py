@@ -67,9 +67,8 @@ class HotPathLoopRule(Rule):
     multiplies the constant factor by two to three orders of magnitude
     and silently invalidates every probe measurement and Table VI
     comparison built on top of it.  Loops whose trip count is itself the
-    modelled cost driver (DIA iterates per diagonal, ndig times; CSC's
-    smsv iterates per sparse-vector support element) are the documented
-    exceptions and carry a justifying noqa.
+    modelled cost driver (DIA iterates per diagonal, ndig times) are the
+    documented exceptions and carry a justifying noqa.
     """
 
     def applies_to(self, path: str) -> bool:

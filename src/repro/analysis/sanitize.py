@@ -118,33 +118,6 @@ def _check_csr(m: MatrixFormat) -> List[str]:
     return v
 
 
-def _check_csc(m: MatrixFormat) -> List[str]:
-    rows, cols = m.shape
-    v: List[str] = []
-    v += _check_dtype("values", m.values, VALUE_DTYPE)
-    v += _check_dtype("row_idx", m.row_idx, INDEX_DTYPE)
-    ptr = m.col_ptr
-    if ptr.shape != (cols + 1,):
-        return v + [
-            f"col_ptr has shape {ptr.shape}, expected ({cols + 1},)"
-        ]
-    if ptr[0] != 0 or ptr[-1] != m.values.shape[0]:
-        v.append(
-            f"col_ptr endpoints ({int(ptr[0])}, {int(ptr[-1])}) "
-            f"inconsistent with nnz={m.values.shape[0]}"
-        )
-    diffs = np.diff(ptr)
-    bad = np.nonzero(diffs < 0)[0]
-    if bad.size:
-        v.append(
-            f"col_ptr not monotonically non-decreasing at column "
-            f"{int(bad[0])}"
-        )
-        return v
-    v += _check_index_range("row_idx", m.row_idx, rows)
-    return v
-
-
 def _check_coo(m: MatrixFormat) -> List[str]:
     rows_n, cols_n = m.shape
     v: List[str] = []
@@ -411,45 +384,12 @@ def _check_den(m: MatrixFormat) -> List[str]:
     return v
 
 
-def _check_bcsr(m: MatrixFormat) -> List[str]:
-    rows_n, cols_n = m.shape
-    br, bc = m.block_shape
-    v: List[str] = []
-    v += _check_dtype("block_data", m.block_data, VALUE_DTYPE)
-    v += _check_dtype("block_col", m.block_col, INDEX_DTYPE)
-    n_brows = -(-rows_n // br) if br else 0
-    n_bcols = -(-cols_n // bc) if bc else 0
-    if m.block_data.ndim != 3 or m.block_data.shape[1:] != (br, bc):
-        return v + [
-            f"block_data has shape {m.block_data.shape}, expected "
-            f"(n_blocks, {br}, {bc})"
-        ]
-    ptr = m.block_ptr
-    if ptr.shape != (n_brows + 1,):
-        return v + [
-            f"block_ptr has shape {ptr.shape}, expected "
-            f"({n_brows + 1},)"
-        ]
-    if ptr[0] != 0 or ptr[-1] != m.block_col.shape[0]:
-        v.append(
-            f"block_ptr endpoints ({int(ptr[0])}, {int(ptr[-1])}) "
-            f"inconsistent with n_blocks={m.block_col.shape[0]}"
-        )
-    if np.any(np.diff(ptr) < 0):
-        v.append("block_ptr not monotonically non-decreasing")
-        return v
-    v += _check_index_range("block_col", m.block_col, n_bcols)
-    return v
-
-
 _CHECKERS: Dict[str, Callable[[MatrixFormat], List[str]]] = {
     "CSR": _check_csr,
-    "CSC": _check_csc,
     "COO": _check_coo,
     "ELL": _check_ell,
     "DIA": _check_dia,
     "DEN": _check_den,
-    "BCSR": _check_bcsr,
     "SELL": _check_sell,
     "RCSR": _check_permuted,
     "RSELL": _check_permuted,

@@ -132,16 +132,16 @@ class AutoTuner:
                         srows, scols, svalues, sshape
                     )
             except Exception as exc:
-                # A format that cannot represent this matrix (e.g. a
-                # blocked layout on an incompatible shape) loses the
-                # race by forfeit rather than aborting the whole probe.
+                # A format that cannot be built for this matrix (e.g. a
+                # dense or diagonal layout too large to allocate) loses
+                # the race by forfeit rather than aborting the probe.
                 errors[name] = exc
                 continue
 
             def run() -> None:
                 # Row extraction + SMSV: exactly SMO's per-selected-
                 # sample kernel work.  Timing both matters for formats
-                # whose row access is expensive (CSC scans everything).
+                # whose row access is expensive (DIA walks every diagonal).
                 for i in probe_ids:
                     matrix.smsv(matrix.row(i))
 

@@ -26,8 +26,9 @@ sit in one flat stream (the paper's stated reason COO overtakes CSR at
 high ``vdim``).
 
 Calibration constants default to values fitted on this library's NumPy
-kernels (see ``ArchCalibration.numpy_default``); ``ArchCalibration.
-fit()`` re-fits them on the running machine with micro-probes.
+kernels (see ``ArchCalibration.numpy_default``);
+``examples/calibrate_cost_model.py`` re-fits them on the running
+machine with micro-probes.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.features.profile import DatasetProfile
 from repro.formats.base import FORMAT_NAMES
-from repro.formats.convert import FORMAT_FAMILIES
+from repro.formats.convert import FORMAT_CLASSES
 
-#: Formats the analytic model can rank (the ``analytic`` family): the
-#: paper's five basic layouts plus sliced-ELL (SELL-C) and the
-#: row-reordered variants (RCSR / RSELL = SELL-C-sigma).  The probe
-#: strategies accept anything in ``FORMAT_CLASSES``; the cost strategy
-#: accepts these.
-ANALYTIC_FORMATS: Tuple[str, ...] = FORMAT_FAMILIES["analytic"]
+#: Formats the analytic model ranks: every registered format, in
+#: registry order (the paper's five basic layouts, sliced-ELL SELL-C
+#: and the row-reordered RCSR / RSELL = SELL-C-sigma).  Rank ties
+#: break by this order.
+ANALYTIC_FORMATS: Tuple[str, ...] = tuple(FORMAT_CLASSES)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.analysis.race import make_lock, track_shared
 
 from repro.core.autotune import AutoTuner
-from repro.core.cost_model import ANALYTIC_FORMATS, ArchCalibration, CostModel
+from repro.core.cost_model import ArchCalibration, CostModel
 from repro.core.rules import RuleThresholds, rule_based_choice
 from repro.features.extract import profile_from_coo
 from repro.features.profile import DatasetProfile
@@ -59,7 +59,7 @@ class Decision:
     source: str = "analytic"
     #: Kernel-row block width the decision was made for.
     batch_k: int = 1
-    #: Model cost per analytically priced candidate, cheapest first.
+    #: Model cost per candidate, cheapest first.
     predicted: Dict[str, float] = field(default_factory=dict, compare=False)
     #: Probe seconds per format, when the strategy measured.
     measured: Dict[str, float] = field(default_factory=dict, compare=False)
@@ -187,15 +187,12 @@ class LayoutScheduler:
     candidates:
         The formats a decision may return, for every strategy and
         every source (default: the paper's five, the ``paper``
-        family).  The model prices the ``analytic`` part of the set;
-        the hybrid strategy shortlists from that part and probes the
-        shortlist together with the unpriced formats (CSC, BCSR),
-        whose fitness depends on structure the nine-parameter profile
-        does not capture.  The *cost* strategy therefore accepts only
-        subsets of ``ANALYTIC_FORMATS`` — which is how the serving
-        layer pins decisions to its exact families and how ``repro
-        bench sell`` adds "reorder + SELL" to the race; the rules
-        strategy's decision list is fixed and accepts no restriction.
+        family).  The model prices every candidate; the hybrid
+        strategy probes the model's ``shortlist`` cheapest.  A
+        restriction is how the serving layer pins decisions to its
+        exact families and how ``repro bench sell`` adds "reorder +
+        SELL" to the race; the rules strategy's decision list is fixed
+        and accepts no restriction.
     """
 
     def __init__(
@@ -230,14 +227,6 @@ class LayoutScheduler:
                     "list and cannot restrict candidates; use the "
                     "cost, probe or hybrid strategy"
                 )
-        priced = tuple(c for c in candidates if c in ANALYTIC_FORMATS)
-        if strategy == "cost" and priced != candidates:
-            raise ValueError(
-                "extended candidates (CSC/BCSR) require the probe "
-                "or hybrid strategy (the analytic model only ranks "
-                "the basic formats plus SELL and the reordered "
-                "layouts)"
-            )
         self.strategy = strategy
         self.cost_model = CostModel(calibration)
         self.thresholds = thresholds or RuleThresholds()
@@ -246,8 +235,6 @@ class LayoutScheduler:
         self.batch_k = batch_k
         self.cache = cache if cache is not None else DecisionCache()
         self.candidates: Tuple[str, ...] = candidates
-        #: The part of ``candidates`` the cost model can price.
-        self.priced = priced
         #: This scheduler's slice of a (possibly shared) DecisionCache.
         self.cache_scope = (strategy,) + candidates
 
@@ -316,7 +303,7 @@ class LayoutScheduler:
         predicted = {
             fc.fmt: fc.cost
             for fc in self.cost_model.rank(
-                profile, self.priced, batch_k=batch_k
+                profile, self.candidates, batch_k=batch_k
             )
         }
         common = dict(
@@ -377,10 +364,8 @@ class LayoutScheduler:
             return fmt, reason, {}
         if self.strategy == "probe":
             short = list(self.candidates)
-        else:  # hybrid: the model's shortlist plus the unpriced formats
-            short = [f for f, _ in ranked[: self.shortlist]] + [
-                c for c in self.candidates if c not in predicted
-            ]
+        else:  # hybrid: the model's shortlist
+            short = [f for f, _ in ranked[: self.shortlist]]
             if len(short) == 1:
                 return short[0], "cost model shortlist of one", {}
         if coo is None:
@@ -431,11 +416,7 @@ class LayoutScheduler:
         """
         decision = self.decide(matrix)
         hint_applicable = (
-            iterations_hint is not None
-            and decision.fmt != matrix.name
-            # the amortisation model covers the analytic formats only
-            and matrix.name in ANALYTIC_FORMATS
-            and decision.fmt in ANALYTIC_FORMATS
+            iterations_hint is not None and decision.fmt != matrix.name
         )
         if hint_applicable and not self.cost_model.worthwhile(
             decision.profile,

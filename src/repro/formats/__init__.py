@@ -31,8 +31,6 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.ell import ELLMatrix
 from repro.formats.dia import DIAMatrix
-from repro.formats.csc import CSCMatrix
-from repro.formats.bcsr import BCSRMatrix
 from repro.formats.sell import (
     DEFAULT_CHUNK,
     SELLMatrix,
@@ -71,8 +69,6 @@ __all__ = [
     "COOMatrix",
     "ELLMatrix",
     "DIAMatrix",
-    "CSCMatrix",
-    "BCSRMatrix",
     "SELLMatrix",
     "DEFAULT_CHUNK",
     "sell_storage_elements",

@@ -16,9 +16,7 @@ import scipy.sparse as sp
 
 from repro.formats.base import FORMAT_NAMES, VALUE_DTYPE, MatrixFormat
 from repro.obs.trace import get_tracer
-from repro.formats.bcsr import BCSRMatrix
 from repro.formats.coo import COOMatrix
-from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.dense import DenseMatrix
 from repro.formats.dia import DIAMatrix
@@ -27,18 +25,16 @@ from repro.formats.reorder import RCSRMatrix, RSELLMatrix
 from repro.formats.sell import SELLMatrix
 
 #: Registry keyed by format name.  The first five are the paper's basic
-#: formats (the scheduler's default candidate set, ``FORMAT_NAMES``);
-#: CSC and BCSR are the derived formats Section III-A mentions, opt-in
-#: as extra candidates; SELL and the reordered layouts (RCSR / RSELL =
-#: SELL-C-sigma) are the padding-variance cures.
+#: formats in ``FORMAT_NAMES`` order (the scheduler's default candidate
+#: set); SELL and the reordered layouts (RCSR / RSELL = SELL-C-sigma)
+#: are the padding-variance cures.  The cost model prices every entry,
+#: and its rank ties break by this order.
 FORMAT_CLASSES: Dict[str, Type[MatrixFormat]] = {
-    "DEN": DenseMatrix,
+    "ELL": ELLMatrix,
     "CSR": CSRMatrix,
     "COO": COOMatrix,
-    "ELL": ELLMatrix,
+    "DEN": DenseMatrix,
     "DIA": DIAMatrix,
-    "CSC": CSCMatrix,
-    "BCSR": BCSRMatrix,
     "SELL": SELLMatrix,
     "RCSR": RCSRMatrix,
     "RSELL": RSELLMatrix,
@@ -50,23 +46,17 @@ FORMAT_CLASSES: Dict[str, Type[MatrixFormat]] = {
 #:
 #: ``paper``     the five basic layouts of Section III-A, the
 #:               scheduler's default candidate set (``FORMAT_NAMES``).
-#: ``analytic``  the formats the analytic cost model prices: ``paper``
-#:               plus SELL and the reordered layouts.  CSC and BCSR
-#:               depend on structure the profile does not capture, so
-#:               only a probe can rank them.
 #: ``serve``     canonical float64 values, each row accumulated in
 #:               ascending column order: a layout swap inside the family
 #:               is bitwise on sparse row/query overlaps (at most two
 #:               non-zero products per sum) and within 1 ULP otherwise.
-#:               BLAS-backed DEN and BCSR re-associate freely and are
-#:               excluded.
+#:               BLAS-backed DEN re-associates freely and is excluded.
 #: ``bitwise``   kernels that reduce exactly CSR's product array in
 #:               CSR's order (the reordered wrappers only scatter
 #:               finished row sums), so a swap is bitwise on any
 #:               overlap.
 FORMAT_FAMILIES: Dict[str, Tuple[str, ...]] = {
     "paper": FORMAT_NAMES,
-    "analytic": FORMAT_NAMES + ("SELL", "RCSR", "RSELL"),
     "serve": ("CSR", "COO", "ELL", "DIA", "SELL", "RCSR", "RSELL"),
     "bitwise": ("CSR", "SELL", "RCSR", "RSELL"),
 }

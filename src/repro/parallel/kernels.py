@@ -283,7 +283,7 @@ def parallel_matmat(
     so every output element is computed by the exact serial op sequence
     (bit-for-bit identical to ``matrix.matmat(V)``), and blocks write
     disjoint ``y[s:e]`` slices.  Formats without a row-sliced path
-    (COO/DIA/CSC/BCSR, permuted wrappers) and single-block partitions
+    (COO/DIA, permuted wrappers) and single-block partitions
     fall back to the serial kernel without constructing a pool.
     ``counter`` receives the partition's per-block work, or is
     forwarded to the serial kernel on the fallback path.

@@ -32,8 +32,8 @@ most two non-zero products — the regime of the sparse query streams
 this subsystem targets — every association yields the same bits, so a
 mid-stream re-schedule is exactly invisible; the bench's re-schedule
 demo asserts that at runtime.  On dense row/query overlaps the formats
-can drift by 1 ULP, which is why DEN and BCSR (BLAS-backed, freely
-re-associating) are excluded from the candidate set outright and why
+can drift by 1 ULP, which is why DEN (BLAS-backed, freely
+re-associating) is excluded from the candidate set outright and why
 the general cross-format claim is agreement to ``atol=1e-12``, not
 bit equality.
 """

@@ -92,8 +92,8 @@ class MatrixHandle:
 
     ``arrays`` maps the format's constructor-attribute names to segment
     specs; ``meta`` carries the non-array constructor arguments (SELL's
-    chunk, BCSR's block shape); ``inner`` is the stored core of a
-    permutation wrapper, packed recursively.
+    chunk); ``inner`` is the stored core of a permutation wrapper,
+    packed recursively.
     """
 
     fmt: str
@@ -254,14 +254,9 @@ _PACK_SPECS: Dict[str, _PackSpec] = {
     "ELL": (("data", "indices", "row_lengths"), _NO_META),
     "DIA": (("offsets", "data"), _NO_META),
     "DEN": (("array",), _NO_META),
-    "CSC": (("values", "row_idx", "col_ptr"), _NO_META),
     "SELL": (
         ("data", "indices", "row_lengths"),
         lambda m: {"chunk": int(m.chunk)},
-    ),
-    "BCSR": (
-        ("block_data", "block_col", "block_ptr"),
-        lambda m: {"block_shape": tuple(m.block_shape)},
     ),
 }
 

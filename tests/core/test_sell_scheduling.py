@@ -108,10 +108,6 @@ class TestScheduler:
         d = sched.decide_from_coo(rows, cols, vals, shape)
         assert d.fmt in ANALYTIC_FORMATS
 
-    def test_cost_strategy_rejects_extended_candidates(self):
-        with pytest.raises(ValueError, match="probe"):
-            LayoutScheduler("cost", candidates=("SELL", "CSC"))
-
     def test_hybrid_fast_path_with_analytic_candidates(self):
         rows, cols, vals, shape = powerlaw_rows_matrix(
             512, 256, alpha=1.6, min_nnz=8, max_nnz=128, seed=3

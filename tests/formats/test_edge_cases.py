@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.features import profile_from_dense
-from repro.formats import FORMAT_NAMES, SparseVector, convert, from_dense
+from repro.formats import FORMAT_CLASSES, SparseVector, convert, from_dense
 
 
-ALL_FORMATS = FORMAT_NAMES + ("CSC", "BCSR", "SELL", "RCSR", "RSELL")
+ALL_FORMATS = tuple(FORMAT_CLASSES)
 
 
 class TestEmptyAndTiny:

@@ -11,16 +11,15 @@ import numpy as np
 import pytest
 
 from repro.formats import (
-    FORMAT_NAMES,
+    FORMAT_CLASSES,
     SparseVector,
     from_dense,
 )
 from repro.formats.base import VALUE_DTYPE
 from repro.perf import OpCounter
 
-#: The five scheduled formats plus the two derived ones — all seven
-#: implement the SpMM entry points.
-ALL_FORMATS = tuple(FORMAT_NAMES) + ("CSC", "BCSR")
+#: Every registered format implements the SpMM entry points.
+ALL_FORMATS = tuple(FORMAT_CLASSES)
 
 
 def _sparse_vectors(rng, n, k, density=0.3):

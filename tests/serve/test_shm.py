@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.formats import from_dense
+from repro.formats import FORMAT_CLASSES, from_dense
 from repro.formats.convert import convert
 from repro.serve.bench import synthetic_model
 from repro.serve.engine import InferenceEngine
@@ -22,10 +22,7 @@ from repro.serve.shm import (
     pack_model,
 )
 
-ALL_FORMATS = (
-    "CSR", "COO", "ELL", "DIA", "DEN", "CSC", "SELL", "BCSR",
-    "RCSR", "RSELL",
-)
+ALL_FORMATS = tuple(FORMAT_CLASSES)
 
 
 def sample_matrix(rng):

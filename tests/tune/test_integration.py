@@ -304,7 +304,7 @@ class TestRowCacheSizing:
         y = np.where(np.arange(shape[0]) % 3 == 0, 1.0, -1.0)
         return X, y, profile_from_coo(rows, cols, shape)
 
-    @pytest.mark.parametrize("fmt", ["DEN", "DIA", "COO", "CSC"])
+    @pytest.mark.parametrize("fmt", ["DEN", "DIA", "COO"])
     def test_warm_entry_reaches_formats_without_row_lengths(
         self, cache_path, capacities, monkeypatch, fmt
     ):
