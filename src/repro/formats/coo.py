@@ -138,7 +138,9 @@ class COOMatrix(MatrixFormat):
             raise IndexError("row index out of range")
         lo = int(np.searchsorted(self.rows, i, side="left"))
         hi = int(np.searchsorted(self.rows, i, side="right"))
-        return SparseVector(self.cols[lo:hi], self.values[lo:hi], self.shape[1])
+        return SparseVector._trusted(
+            self.cols[lo:hi], self.values[lo:hi], self.shape[1]
+        )
 
     def row_norms_sq(self) -> np.ndarray:
         out = np.zeros(self.shape[0], dtype=VALUE_DTYPE)

@@ -192,7 +192,9 @@ class CSRMatrix(MatrixFormat):
         if not 0 <= i < self.shape[0]:
             raise IndexError("row index out of range")
         lo, hi = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
-        return SparseVector(self.col_idx[lo:hi], self.values[lo:hi], self.shape[1])
+        return SparseVector._trusted(
+            self.col_idx[lo:hi], self.values[lo:hi], self.shape[1]
+        )
 
     def row_norms_sq(self) -> np.ndarray:
         out = np.zeros(self.shape[0], dtype=VALUE_DTYPE)

@@ -120,7 +120,9 @@ class DenseMatrix(MatrixFormat):
             raise IndexError("row index out of range")
         # View (no copy) then sparsify; the SMO hot path keeps vectors
         # sparse so kernels can exploit them.
-        return SparseVector.from_dense(self.array[i])
+        x = self.array[i]
+        idx = np.flatnonzero(x).astype(INDEX_DTYPE)
+        return SparseVector._trusted(idx, x[idx], self.shape[1])
 
     def row_norms_sq(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.array, self.array)

@@ -86,6 +86,8 @@ class DIAMatrix(MatrixFormat):
         self._spans = [
             diag_span(int(o), self.shape) for o in self.offsets
         ]
+        spans = np.array(self._spans, dtype=np.int64).reshape(-1, 2)
+        self._span_lo, self._span_hi = spans[:, 0], spans[:, 1]
         self._sanitize_check()
 
     # -- construction -------------------------------------------------
@@ -216,17 +218,10 @@ class DIAMatrix(MatrixFormat):
     def row(self, i: int) -> SparseVector:
         if not 0 <= i < self.shape[0]:
             raise IndexError("row index out of range")
-        cols = []
-        vals = []
-        for k, o in enumerate(self.offsets):
-            i0, i1 = diag_span(int(o), self.shape)
-            if i0 <= i < i1:
-                v = self.data[k, i - i0]
-                if v != 0.0:
-                    cols.append(i + int(o))
-                    vals.append(v)
-        return SparseVector(
-            np.asarray(cols, dtype=INDEX_DTYPE),
-            np.asarray(vals, dtype=VALUE_DTYPE),
-            self.shape[1],
-        )
+        # Diagonals crossing row i, in offset order (so columns come out
+        # strictly increasing); their stored slot for row i is i - i0.
+        ks = np.flatnonzero((self._span_lo <= i) & (i < self._span_hi))
+        vals = self.data[ks, i - self._span_lo[ks]]
+        nz = vals != 0.0
+        cols = (i + self.offsets[ks[nz]]).astype(INDEX_DTYPE)
+        return SparseVector._trusted(cols, vals[nz], self.shape[1])

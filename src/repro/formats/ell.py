@@ -178,7 +178,7 @@ class ELLMatrix(MatrixFormat):
         idx = self.indices[i, :k]
         vals = self.data[i, :k]
         order = np.argsort(idx, kind="stable")
-        return SparseVector(idx[order], vals[order], self.shape[1])
+        return SparseVector._trusted(idx[order], vals[order], self.shape[1])
 
     def row_norms_sq(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.data, self.data)

@@ -311,7 +311,7 @@ class SELLMatrix(MatrixFormat):
             raise IndexError("row index out of range")
         lo = int(self.row_starts[i])
         k = int(self.row_lengths[i])
-        return SparseVector(
+        return SparseVector._trusted(
             self.indices[lo : lo + k], self.data[lo : lo + k], self.shape[1]
         )
 
