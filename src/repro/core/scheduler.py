@@ -8,7 +8,8 @@ Strategy  Behaviour
 rules     decision list only (microseconds, fully predictable)
 cost      analytic cost model only (microseconds, machine-calibrated)
 probe     measure every format on a row sample (milliseconds, exact)
-hybrid    cost model shortlists top-k, probe decides among them
+hybrid    cost model shortlists top-k, probe decides among them;
+          a pick the model is sure of (see ``BAND``) stands unprobed
 ========  =============================================================
 
 Every decision, training-time or serving-time, is made by one method
@@ -40,6 +41,13 @@ from repro.obs.audit import DecisionRecord, audit_log, current_dataset
 from repro.obs.trace import get_tracer
 
 STRATEGIES = ("rules", "cost", "probe", "hybrid")
+
+#: The hybrid skips its probe when the model's runner-up is predicted to
+#: cost at least this many times its pick.  Measured against a 5-repeat
+#: probe (docs/scheduling.md): the probe overturned the model at
+#: margins up to 1.84, and confirmed every pick at the dense margin of
+#: 2.57 by 5.8-12.7x.
+BAND = 2.2
 
 CooTriples = Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]
 
@@ -173,7 +181,8 @@ class LayoutScheduler:
     tuner:
         Probe configuration for the probe/hybrid strategies.
     shortlist:
-        How many model-ranked candidates the hybrid strategy probes.
+        How many model-ranked candidates the hybrid strategy probes
+        when the model's margin is below :data:`BAND`.
     batch_k:
         Kernel-row block width the workload will run at (the tenth
         knob of the decision system).  ``1`` models classic per-vector
@@ -279,8 +288,9 @@ class LayoutScheduler:
         that hold a format-invariant profile rather than triples (the
         serving rescheduler).  Not audited: the caller records the
         decisions its own policy acts on (:meth:`Decision.record`).
-        Strategies that must measure (probe, and a hybrid shortlist of
-        more than one) raise ``ValueError`` here.
+        Strategies that must measure raise ``ValueError`` here: probe
+        always, hybrid when its shortlist has more than one format and
+        the model's margin is below :data:`BAND`.
         """
         return self._decide(profile, batch_k)
 
@@ -368,6 +378,11 @@ class LayoutScheduler:
             short = [f for f, _ in ranked[: self.shortlist]]
             if len(short) == 1:
                 return short[0], "cost model shortlist of one", {}
+            (fmt, cost), (runner, runner_cost) = ranked[0], ranked[1]
+            margin = runner_cost / cost if cost > 0 else float("inf")
+            verdict = f"model margin {margin:.2f}x over runner-up {runner}"
+            if margin >= BAND:
+                return fmt, f"{verdict} >= band {BAND}x; probe skipped", {}
         if coo is None:
             raise ValueError(
                 f"the {self.strategy} strategy measures {short} and "
@@ -383,8 +398,8 @@ class LayoutScheduler:
             )
         else:
             reason = (
-                f"probed model shortlist {short}; "
-                f"{best.fmt} measured fastest"
+                f"{verdict} < band {BAND}x; probed model shortlist "
+                f"{short}; {best.fmt} measured fastest"
             )
         return best.fmt, reason, measured
 

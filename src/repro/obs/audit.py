@@ -62,7 +62,9 @@ class DecisionRecord:
     units); ``measured`` maps format name to probed median seconds and
     holds only what was probed: the formats a ``probe`` or ``hybrid``
     strategy raced, or every format in a ``repro obs report`` record.
-    It is empty for ``rules`` and ``cost`` decisions, traced or not.
+    It is empty for ``rules`` and ``cost`` decisions, and for a
+    ``hybrid`` decision whose model margin skipped the probe, traced
+    or not.
     """
 
     source: str  #: "schedule" (training-time) or "serve" (runtime flip)
