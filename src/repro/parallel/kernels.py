@@ -12,11 +12,19 @@ slice width) partitions with :func:`~repro.parallel.partition.
 balanced_chunks` over its per-row work weights, so one dense row —
 or one wide slice — cannot serialise the whole product on a single
 hot block.  That is the same load-balancing concern behind the
-paper's ``vdim`` parameter.  Uniform-work formats (DEN, ELL) reduce
-to equal-count blocks, which *is* their nnz-balanced partition.  The
-planned per-block work is reported to an :class:`~repro.perf.
-counters.OpCounter` (``parallel_blocks`` / ``parallel_work_total`` /
-``parallel_work_max``) so tests and benches can assert balance.
+paper's ``vdim`` parameter.  ELL pads every row to the same width
+and reduces to equal-count blocks, which *is* its nnz-balanced
+partition.  The planned per-block work is reported to an
+:class:`~repro.perf.counters.OpCounter` (``parallel_blocks`` /
+``parallel_work_total`` / ``parallel_work_max``) so tests and benches
+can assert balance.
+
+DEN is the exception: BLAS groups a GEMV's rows by their position, so
+a GEMV over a row slice can sum a row's products in a different order
+than the full-matrix GEMV and differ in the last bits.  DEN therefore
+never slices rows: :func:`parallel_matmat` splits its columns, each
+one the serial kernel's full-matrix GEMV, and :func:`parallel_matvec`
+runs the serial kernel.
 """
 
 from __future__ import annotations
@@ -43,15 +51,15 @@ from repro.parallel.pool import WorkerPool, default_workers, shared_pool
 from repro.perf.counters import OpCounter
 
 #: Formats with a contiguous row-sliced kernel path.
-_SLICEABLE = (DenseMatrix, CSRMatrix, ELLMatrix, SELLMatrix)
+_SLICEABLE = (CSRMatrix, ELLMatrix, SELLMatrix)
 
 
 def _work_weights(matrix: MatrixFormat) -> Optional[np.ndarray]:
     """Per-row work weights, or None when rows cost uniformly.
 
     CSR streams ``dim_i`` elements per row; SELL streams its padded
-    per-row slice width (padding is real work); DEN and ELL pad every
-    row to the same width, so equal row counts are already balanced.
+    per-row slice width (padding is real work); ELL pads every row to
+    the same width, so equal row counts are already balanced.
     """
     if isinstance(matrix, CSRMatrix):
         return np.asarray(matrix.row_lengths, dtype=np.int64)
@@ -102,7 +110,12 @@ def _plan_blocks(
 
 
 def _run_blocks(
-    pool: WorkerPool, work, blocks, op: str, matrix: MatrixFormat
+    pool: WorkerPool,
+    work,
+    blocks,
+    op: str,
+    matrix: MatrixFormat,
+    extent: Optional[int] = None,
 ) -> None:
     """Dispatch the block kernels, observing per-block wall time.
 
@@ -113,13 +126,16 @@ def _run_blocks(
     tree) and each block times itself into a lock-free
     :class:`~repro.obs.metrics.MetricsShard`, merged into the process
     registry in one locked pass per block — the block kernels
-    themselves stay lock-free.
+    themselves stay lock-free.  ``extent`` is the length the blocks
+    partition: the matrix's rows unless given (DEN's column blocks).
     """
     if get_race_sanitizer().enabled:
         # The block closures write raw NumPy slices the attribute
         # descriptors cannot see; their race freedom rests entirely on
         # the partition being disjoint, so check exactly that.
-        check_disjoint_blocks(blocks, matrix.shape[0])
+        check_disjoint_blocks(
+            blocks, matrix.shape[0] if extent is None else extent
+        )
     tracer = get_tracer()
     if not tracer.enabled:
         pool.map(work, blocks)
@@ -161,15 +177,16 @@ def parallel_matvec(
 ) -> np.ndarray:
     """``y = A @ x`` with row blocks on pool threads.
 
-    Supported formats: DEN, CSR, ELL, SELL (the row-sliceable
-    layouts).  Falls back to the serial kernel when the matrix is too
-    small for blocking to pay (``min_rows_per_block``) or the format
-    has no row-sliced path (COO/DIA partition by elements/diagonals,
-    not rows; permuted wrappers scatter outputs, so their row blocks
-    are not contiguous in the original index space).
+    Supported formats: CSR, ELL, SELL (the row-sliceable layouts).
+    Falls back to the serial kernel when the matrix is too small for
+    blocking to pay (``min_rows_per_block``) or the format has no
+    row-sliced path (COO/DIA partition by elements/diagonals, not
+    rows; permuted wrappers scatter outputs, so their row blocks are
+    not contiguous in the original index space; a DEN row slice would
+    re-associate BLAS's sums).
 
-    The result is numerically identical to the serial kernel: every
-    block computes the same contiguous slice the serial kernel would.
+    The result is bit-for-bit identical to the serial kernel: every
+    block runs the serial kernel's op sequence on its contiguous slice.
     ``counter`` receives the planned per-block work of the partition
     (``parallel_*`` fields); on the serial fallback it is forwarded to
     the format kernel instead.
@@ -189,13 +206,7 @@ def parallel_matvec(
     y = np.empty(m, dtype=VALUE_DTYPE)
     blocks = _blocks_for(matrix, n_blocks, counter)
 
-    if isinstance(matrix, DenseMatrix):
-
-        def work(block):
-            s, e = block
-            y[s:e] = matrix.array[s:e] @ x
-
-    elif isinstance(matrix, ELLMatrix):
+    if isinstance(matrix, ELLMatrix):
         data, indices = matrix.data, matrix.indices
 
         def work(block):
@@ -282,11 +293,13 @@ def parallel_matmat(
     MatrixFormat.matmat` column recipe on its contiguous row block —
     so every output element is computed by the exact serial op sequence
     (bit-for-bit identical to ``matrix.matmat(V)``), and blocks write
-    disjoint ``y[s:e]`` slices.  Formats without a row-sliced path
-    (COO/DIA, permuted wrappers) and single-block partitions
-    fall back to the serial kernel without constructing a pool.
-    ``counter`` receives the partition's per-block work, or is
-    forwarded to the serial kernel on the fallback path.
+    disjoint ``y[s:e]`` slices.  DEN splits the columns instead: each
+    block runs the serial kernel's full-matrix GEMV for its columns,
+    at most ``k`` blocks.  Formats without a row-sliced path (COO/DIA,
+    permuted wrappers) and single-block partitions fall back to the
+    serial kernel without constructing a pool.  ``counter`` receives
+    the partition's per-block work (rows swept; ``M`` per DEN column),
+    or is forwarded to the serial kernel on the fallback path.
     """
     V = np.asarray(V, dtype=VALUE_DTYPE)
     if V.ndim != 2 or V.shape[0] != matrix.shape[1]:
@@ -296,23 +309,34 @@ def parallel_matmat(
         )
     m, k = matrix.shape[0], V.shape[1]
     n_blocks = _plan_blocks(matrix, pool, min_rows_per_block)
-    if n_blocks <= 1 or k == 0 or not isinstance(matrix, _SLICEABLE):
+    dense = isinstance(matrix, DenseMatrix)
+    if dense:
+        n_blocks = min(n_blocks, k)
+    sliceable = dense or isinstance(matrix, _SLICEABLE)
+    if n_blocks <= 1 or k == 0 or not sliceable:
         return matrix.matmat(V, counter)
     pool = pool if pool is not None else shared_pool()
+
+    if dense:
+        blocks = row_blocks(k, n_blocks)
+        if counter is not None:
+            counter.add_parallel_blocks(m * (e - s) for s, e in blocks)
+        VF = np.asfortranarray(V)
+        # The serial kernel's (k, M) accumulator: column c is its GEMV.
+        yT = np.empty((k, m), dtype=VALUE_DTYPE)
+
+        def work(block):
+            s, e = block
+            for c in range(s, e):
+                yT[c] = matrix.array @ VF[:, c]
+
+        _run_blocks(pool, work, blocks, "parallel.matmat", matrix, k)
+        return yT.T
 
     y = np.empty((m, k), dtype=VALUE_DTYPE)
     blocks = _blocks_for(matrix, n_blocks, counter)
 
-    if isinstance(matrix, DenseMatrix):
-        VF = np.asfortranarray(V)
-
-        def work(block):
-            s, e = block
-            sub = matrix.array[s:e]
-            for c in range(k):
-                y[s:e, c] = sub @ VF[:, c]
-
-    elif isinstance(matrix, ELLMatrix):
+    if isinstance(matrix, ELLMatrix):
         data, indices = matrix.data, matrix.indices
         VT = np.ascontiguousarray(V.T)
 

@@ -26,6 +26,17 @@ class TestParallelMatvec:
             y = parallel_matvec(m, x, pool=pool, min_rows_per_block=100)
         assert np.allclose(y, big_sparse @ x)
 
+    @pytest.mark.parametrize("shape", [(1500, 1250), (333, 77)])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_dense_bitwise_at_reassociating_shapes(self, rng, shape, workers):
+        # Shapes where a GEMV over a row slice sums in a different order
+        # than the full-matrix GEMV; DEN must still match exactly.
+        m = from_dense(rng.standard_normal(shape), "DEN")
+        x = rng.standard_normal(shape[1])
+        with WorkerPool(workers) as pool:
+            y = parallel_matvec(m, x, pool=pool, min_rows_per_block=50)
+        np.testing.assert_array_equal(y, m.matvec(x))
+
     @pytest.mark.parametrize("fmt", ["COO", "DIA"])
     def test_unsupported_formats_fall_back(self, big_sparse, rng, fmt):
         m = from_dense(big_sparse[:100], fmt)

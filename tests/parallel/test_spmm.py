@@ -41,6 +41,17 @@ class TestParallelMatmat:
         # the result is exactly the serial one — not just close.
         np.testing.assert_array_equal(Y, m.matmat(V))
 
+    @pytest.mark.parametrize("shape", [(1500, 1250), (333, 77)])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_dense_bitwise_at_reassociating_shapes(self, rng, shape, workers):
+        # Shapes where a GEMV over a row slice sums in a different order
+        # than the full-matrix GEMV; DEN must still match exactly.
+        m = from_dense(rng.standard_normal(shape), "DEN")
+        V = rng.standard_normal((shape[1], 3))
+        with WorkerPool(workers) as pool:
+            Y = parallel_matmat(m, V, pool=pool, min_rows_per_block=50)
+        np.testing.assert_array_equal(Y, m.matmat(V))
+
     @pytest.mark.parametrize("fmt", ["COO", "DIA"])
     def test_unsupported_formats_fall_back(self, big_sparse, rng, fmt):
         m = from_dense(big_sparse[:100], fmt)
