@@ -55,7 +55,7 @@ def sweep():
                 probe_rows=size, repeats=2, smsv_per_probe=2, seed=1
             )
             t0 = time.perf_counter()
-            pick = tuner.best(ds.rows, ds.cols, ds.values, ds.shape)
+            pick = tuner.probe(ds.rows, ds.cols, ds.values, ds.shape)[0].fmt
             cost += time.perf_counter() - t0
             times = full_times[name]
             regrets.append(times[pick] / min(times.values()))
@@ -73,7 +73,7 @@ def test_ablation_probe_size(sweep, benchmark, record_rows):
     ds = load_dataset("adult", seed=0)
     tuner = AutoTuner(probe_rows=256, repeats=1, smsv_per_probe=1)
     benchmark.pedantic(
-        lambda: tuner.best(ds.rows, ds.cols, ds.values, ds.shape),
+        lambda: tuner.probe(ds.rows, ds.cols, ds.values, ds.shape)[0].fmt,
         rounds=3,
         iterations=1,
     )

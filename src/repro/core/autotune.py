@@ -161,25 +161,6 @@ class AutoTuner:
             )
         return sorted(results)
 
-    def probe_matrix(
-        self,
-        matrix: MatrixFormat,
-        candidates: Optional[Iterable[str]] = None,
-    ) -> List[ProbeResult]:
-        """Probe starting from an existing :class:`MatrixFormat`."""
-        rows, cols, values = matrix.to_coo()
-        return self.probe(rows, cols, values, matrix.shape, candidates)
-
-    def best(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        shape: Tuple[int, int],
-        candidates: Optional[Iterable[str]] = None,
-    ) -> str:
-        return self.probe(rows, cols, values, shape, candidates)[0].fmt
-
     # -- reporting --------------------------------------------------------
     @staticmethod
     def speedup_table(results: Sequence[ProbeResult]) -> Dict[str, float]:

@@ -300,14 +300,6 @@ class CostModel:
     ) -> str:
         return self.rank(p, candidates, batch_k)[0].fmt
 
-    def shortlist(
-        self, p: DatasetProfile, k: int = 2, batch_k: int = 1
-    ) -> List[str]:
-        """The ``k`` cheapest formats — what the hybrid strategy probes."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return [c.fmt for c in self.rank(p, batch_k=batch_k)[:k]]
-
     # -- conversion accounting -----------------------------------------
     def conversion_cost(self, p: DatasetProfile, target: str) -> float:
         """Model cost of converting the input into ``target`` format.

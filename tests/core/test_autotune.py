@@ -36,9 +36,12 @@ class TestProbe:
         )
         assert sorted(r.fmt for r in results) == ["COO", "CSR"]
 
-    def test_probe_matrix_entrypoint(self, tuner, small_sparse):
+    def test_probe_stored_matrix_triples(self, tuner, small_sparse):
         m = from_dense(small_sparse, "CSR")
-        results = tuner.probe_matrix(m, candidates=["CSR", "DEN"])
+        rows, cols, values = m.to_coo()
+        results = tuner.probe(
+            rows, cols, values, m.shape, candidates=["CSR", "DEN"]
+        )
         assert len(results) == 2
 
     def test_empty_matrix_rejected(self, tuner):
@@ -85,7 +88,7 @@ class TestDecisionQuality:
         # 500 uniform sparse rows: DEN does 50x the work of CSR/ELL/COO.
         rows, cols, vals, shape = uniform_rows_matrix(500, 1000, 20, seed=0)
         tuner = AutoTuner(probe_rows=None, repeats=3, smsv_per_probe=2)
-        best = tuner.best(rows, cols, vals, shape)
+        best = tuner.probe(rows, cols, vals, shape)[0].fmt
         assert best != "DIA"  # scattered columns: DIA is pathological
 
     def test_speedup_table_normalised_to_worst(self, tuner, small_sparse):

@@ -91,14 +91,6 @@ class TestRanking:
         costs = [c.cost for c in ranked]
         assert costs == sorted(costs)
 
-    def test_shortlist_prefix_of_rank(self, cm):
-        p = profile()
-        assert cm.shortlist(p, 2) == [c.fmt for c in cm.rank(p)[:2]]
-
-    def test_shortlist_validates_k(self, cm):
-        with pytest.raises(ValueError):
-            cm.shortlist(profile(), 0)
-
     def test_best_on_structures(self, cm, banded):
         # banded 50x50, 5 diagonals -> DIA wins on a big enough version
         big = np.kron(np.eye(20), banded[:10, :10])  # 200x200 banded
