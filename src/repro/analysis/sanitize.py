@@ -457,6 +457,30 @@ def check_format(matrix: MatrixFormat, *, deep: bool = False) -> None:
         raise FormatInvariantError("; ".join(violations))
 
 
+def _row_violations(v: SparseVector, n: int) -> List[str]:
+    """What makes ``v`` an illegal row of an ``N = n`` column matrix."""
+    if v.length != n:
+        return [f"has length {v.length}, expected {n}"]
+    idx, vals = v.indices, v.values
+    if idx.ndim != 1 or vals.ndim != 1:
+        return [
+            f"indices/values must be 1-D, got {idx.ndim}-D/{vals.ndim}-D"
+        ]
+    out = _check_dtype("indices", idx, INDEX_DTYPE)
+    out += _check_dtype("values", vals, VALUE_DTYPE)
+    if idx.shape[0] != vals.shape[0]:
+        out.append(
+            f"has {idx.shape[0]} indices but {vals.shape[0]} values"
+        )
+    bad = np.nonzero(idx[1:] <= idx[:-1])[0]
+    if bad.size:
+        out.append(
+            f"indices not strictly increasing at position {int(bad[0]) + 1}"
+        )
+    out += _check_index_range("indices", idx, n)
+    return out
+
+
 # -- the per-operation wrapper ----------------------------------------
 
 
@@ -573,12 +597,14 @@ class SanitizedMatrix(MatrixFormat):
         )
 
     def row(self, i: int) -> SparseVector:
+        # Formats hand out rows unchecked (SparseVector._trusted), so
+        # the proxy re-checks what the public constructor would have.
         self._recheck()
         out = self.inner.row(i)
-        if out.length != self.shape[1]:
+        violations = _row_violations(out, self.shape[1])
+        if violations:
             raise FormatInvariantError(
-                f"{self.name}: row({i}) has length {out.length}, "
-                f"expected {self.shape[1]}"
+                f"{self.name}: row({i}) " + "; ".join(violations)
             )
         return out
 

@@ -161,6 +161,37 @@ class TestSanitizedMatrix:
         with pytest.raises(FormatInvariantError):
             s.row(0)
 
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (lambda i, v: (i[::-1].copy(), v), "not strictly increasing"),
+            (lambda i, v: (i + 100, v), r"indices out of range"),
+            (lambda i, v: (i.astype(np.int64), v), "indices has dtype int64"),
+            (lambda i, v: (i, v.astype(np.float32)), "values has dtype"),
+            (lambda i, v: (i, v[:-1]), "indices but"),
+            (lambda i, v: (i[None, :], v), "must be 1-D"),
+        ],
+        ids=["unsorted", "range", "index-dtype", "value-dtype", "length", "2d"],
+    )
+    @pytest.mark.parametrize("fmt", tuple(FORMAT_CLASSES))
+    def test_corrupted_row_trips_row_check(
+        self, dense, monkeypatch, fmt, corrupt, match
+    ):
+        from repro.formats import SparseVector
+
+        m = from_dense(dense, fmt)
+        s = sanitize_format(m)
+        healthy = s.row(0)
+        assert healthy.nnz > 1
+        # The storage stays valid; only the row handed out is bad, the
+        # case a format's unchecked row() path could produce.
+        idx, vals = corrupt(healthy.indices, healthy.values)
+        monkeypatch.setattr(
+            m, "row", lambda i: SparseVector._trusted(idx, vals, m.shape[1])
+        )
+        with pytest.raises(FormatInvariantError, match=match):
+            s.row(0)
+
     def test_matmat_and_smsv_multi_delegate_and_check(self, dense, rng):
         from repro.formats import SparseVector
 
