@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.formats import SparseVector
+from repro.formats import FORMAT_CLASSES, SparseVector, from_dense
 from repro.formats.base import validate_coo
 
 
@@ -125,6 +125,21 @@ class TestSharedContract:
             assert np.allclose(
                 matrix_in_fmt.row(i).to_dense(), small_sparse[i]
             )
+
+    @pytest.mark.parametrize("fmt", tuple(FORMAT_CLASSES))
+    def test_row_needs_no_validation(self, small_sparse, fmt):
+        # row() skips SparseVector's checks, so what it returns must
+        # already be what the checked constructor would build.
+        from repro.analysis.sanitize import _row_violations
+
+        m = from_dense(small_sparse, fmt)
+        n = small_sparse.shape[1]
+        for i in range(small_sparse.shape[0]):
+            v = m.row(i)
+            assert _row_violations(v, n) == []
+            checked = SparseVector(v.indices, v.values, v.length)
+            np.testing.assert_array_equal(checked.indices, v.indices)
+            np.testing.assert_array_equal(checked.values, v.values)
 
     def test_row_out_of_range(self, matrix_in_fmt):
         with pytest.raises(IndexError):
