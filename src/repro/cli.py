@@ -11,10 +11,10 @@ serve     simulate an online serving session (micro-batching + runtime
           virtual clock and report metrics
 bench     run a timed benchmark suite (smsv, sell, serve, obs) and
           write its record; exit 1 when an enforced gate fails
-tune      measured-time knob search (SELL chunk, sigma window, batch
-          width, partition granularity, workers, SMO row cache);
-          winners persist to ``~/.cache/repro/tune.json`` where the
-          scheduler and kernels consult them
+tune      measured-time knob search (SELL chunk, sigma window, SMO
+          row cache) plus the measured-best format; winners persist
+          to ``~/.cache/repro/tune.json`` where the scheduler, the
+          format builders and SMO consult them
 trace     run any other command with tracing on and export the span
           tree, decision audit log, and metrics
 obs       observability reports (``obs report``: scheduler regret —
@@ -379,20 +379,22 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     it covers the synthetic report suite (one profile bucket per
     dataset family).  Winners land in the persisted tuning cache
     (``REPRO_TUNE_CACHE`` or ``~/.cache/repro/tune.json``) where the
-    scheduler, the parallel kernels, the serving tier and the SMO row
-    cache consult them on every later run.
+    scheduler and the serving warm-up (``format``), the SELL and
+    sorted-layout builders and the cost model (``sell_chunk``,
+    ``sigma``) and the SMO row cache (``row_cache_mb``) consult them
+    on every later run.
     """
     import json
 
     from repro.tune.cache import tune_cache
     from repro.tune.search import tune_datasets
-    from repro.tune.space import KNOB_FAMILIES, SPACES
+    from repro.tune.space import KNOB_FAMILIES, KNOBS
 
     if args.families:
         families = []
         for f in args.families.split(","):
             f = f.strip()
-            if f not in SPACES:
+            if f not in KNOBS:
                 print(
                     f"error: unknown knob family {f!r}; expected one "
                     f"of {', '.join(KNOB_FAMILIES)}",
@@ -874,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "tune",
         help="measured-time knob search; winners persist to the "
-        "tuning cache the scheduler and kernels consult",
+        "tuning cache the scheduler, builders and SMO consult",
     )
     p.add_argument(
         "--budget",

@@ -239,7 +239,7 @@ class CostModel:
             return 0.0
         from repro.tune.cache import tuned_value
 
-        tuned = tuned_value("sell_chunk", "chunk", profile=p)
+        tuned = tuned_value("sell_chunk", p)
         c = max(
             tuned if tuned else self.calibration.simd_width, 2
         )

@@ -107,7 +107,7 @@ def _resolve_sigma(
         return default_sigma
     from repro.tune.cache import tuned_for_lengths
 
-    tuned = tuned_for_lengths("sigma", "sigma", lengths, shape)
+    tuned = tuned_for_lengths("sigma", lengths, shape)
     if tuned:  # 0 (and cold keys) keep the global sort
         return int(tuned)
     return None

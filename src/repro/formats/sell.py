@@ -182,8 +182,7 @@ class SELLMatrix(MatrixFormat):
             from repro.tune.cache import tuned_for_lengths
 
             chunk = tuned_for_lengths(
-                "sell_chunk", "chunk", lengths, shape,
-                default=cls.default_chunk,
+                "sell_chunk", lengths, shape, default=cls.default_chunk
             )
         C = int(chunk)
         widths = slice_widths_for(lengths, C)

@@ -100,8 +100,8 @@ def _plan_blocks(
     Uses the pool's width when one was handed in, otherwise the
     configured default — so the single-block (serial) case is decided
     *before* any executor exists and never constructs one.  A ``None``
-    granularity resolves through the tuning cache
-    (:func:`~repro.parallel.partition.default_min_rows_per_block`).
+    granularity takes
+    :func:`~repro.parallel.partition.default_min_rows_per_block`.
     """
     if min_rows_per_block is None:
         min_rows_per_block = default_min_rows_per_block()

@@ -6,7 +6,7 @@ does contiguous equal-count splits (right for DEN/ELL/DIA where work per
 row is uniform); ``balanced_chunks`` does weighted splits (right for
 CSR/COO where work per row is ``dim_i``); ``greedy_bins`` does
 *non-contiguous* weighted assignment (right for placing whole models
-onto fleet shards, where nothing forces neighbours together).
+onto fleet shards, where nothing forces adjacent models together).
 """
 
 from __future__ import annotations
@@ -17,24 +17,16 @@ import numpy as np
 
 from repro.formats.base import VALUE_DTYPE
 
-#: Smallest row block worth a pool dispatch when nothing tuned it.
+#: Smallest row block worth a pool dispatch.
 DEFAULT_MIN_ROWS_PER_BLOCK = 256
 
 
 def default_min_rows_per_block() -> int:
-    """Partition granularity: tuned machine-wide value, else 256.
+    """Partition granularity of the parallel kernels: 256 rows.
 
-    The crossover where pool dispatch overhead amortises is a property
-    of the machine (thread wake latency vs per-row kernel cost), so
-    ``repro tune`` stores it under the machine-wide bucket and every
-    parallel kernel that is not given an explicit granularity resolves
-    through here.
+    Every parallel kernel that is not given an explicit granularity
+    resolves through here.
     """
-    from repro.tune.cache import tuned_value
-
-    tuned = tuned_value("row_blocks", "min_rows_per_block")
-    if tuned is not None:
-        return max(1, int(tuned))
     return DEFAULT_MIN_ROWS_PER_BLOCK
 
 

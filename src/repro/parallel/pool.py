@@ -31,13 +31,7 @@ def _worker_cap() -> int:
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_NUM_THREADS`` env, tuned, else CPU count.
-
-    Precedence: the environment variable always wins (an operator's
-    explicit override); next a warm machine-wide entry in the persisted
-    tuning cache (``repro tune`` measured the pool width that actually
-    runs fastest here — often below the core count for NumPy kernels
-    that saturate memory bandwidth); finally the CPU count.
+    """Worker count: ``REPRO_NUM_THREADS`` env, else CPU count.
 
     Unparsable values warn and fall back to the CPU count; values
     outside ``[1, cap]`` warn and are clamped rather than silently
@@ -47,11 +41,6 @@ def default_workers() -> int:
     fallback = max(1, os.cpu_count() or 1)
     env = os.environ.get("REPRO_NUM_THREADS")
     if env is None or not env.strip():
-        from repro.tune.cache import tuned_value
-
-        tuned = tuned_value("workers", "workers")
-        if tuned is not None:
-            return max(1, min(int(tuned), _worker_cap()))
         return fallback
     try:
         n = int(env.strip())

@@ -27,7 +27,6 @@ from repro.serve.fleet import (
     FleetSnapshot,
     ServiceModel,
     ServingFleet,
-    fleet_from_registry,
     simulate_fleet,
 )
 from repro.serve.loadgen import (
@@ -111,7 +110,6 @@ __all__ = [
     "bursty",
     "closed_loop",
     "diurnal",
-    "fleet_from_registry",
     "multi_tenant",
     "open_loop",
     "pack_model",

@@ -491,17 +491,6 @@ class ServingFleet:
         self.close()
 
 
-def fleet_from_registry(
-    registry, names: Optional[List[str]] = None, n_workers: int = 2,
-    *, fmt: str = "CSR", **kwargs: Any,
-) -> ServingFleet:
-    """Spin a fleet straight from a :class:`~repro.serve.registry.
-    ModelRegistry` — the deployment path's one-liner."""
-    return ServingFleet(
-        registry.serve_all(names, fmt=fmt), n_workers, **kwargs
-    )
-
-
 @dataclass
 class FleetReport:
     """Everything one simulated fleet session produced."""

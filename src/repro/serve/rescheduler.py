@@ -136,22 +136,17 @@ class FormatRescheduler:
     def initial_format(self, matrix: MatrixFormat) -> str:
         """The format to start serving in.
 
-        Decided at the tuned expected batch width when the persisted
-        tuning cache is warm for this machine and shape class (the
-        width the machine's serving traffic was measured at), else at
-        ``batch_k=1``.  A tuned warm-up pick is audited like a flip so
-        `repro obs report` can split regret by source; an analytic
-        warm-up is not a runtime decision and leaves no record.
+        Decided at ``batch_k=1``: the traffic's width is unknown until
+        the histogram has seen ``check_every`` batches.  A warm-up pick
+        from the persisted tuning cache's format entry is audited like
+        a flip so `repro obs report` can split regret by source; an
+        analytic warm-up is not a runtime decision and leaves no
+        record.
         """
-        from repro.tune.cache import tuned_value
-
         with self._lock:
             self._profile = extract_profile(matrix)
-            k0 = tuned_value(
-                "batch_k", "batch_k", profile=self._profile, default=1
-            )
             decision = self.scheduler.decide_profile(
-                self._profile, batch_k=k0
+                self._profile, batch_k=1
             )
             if decision.source == "tuned":
                 audit_log().record(decision.record("serve"))

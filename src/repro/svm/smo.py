@@ -203,9 +203,7 @@ def _default_cache_mb(X: MatrixFormat) -> float:
     from repro.tune.space import row_cache_default_mb
 
     if tuning_enabled() and tune_cache().has_family("row_cache_mb"):
-        tuned = tuned_for_lengths(
-            "row_cache_mb", "row_cache_mb", row_nnz(X), X.shape
-        )
+        tuned = tuned_for_lengths("row_cache_mb", row_nnz(X), X.shape)
         if tuned is not None:
             return float(tuned)
     return float(row_cache_default_mb(X.shape[0]))

@@ -1,15 +1,19 @@
 """``repro.tune``: measured-time knob search + the persisted cache.
 
-The subsystem has four layers (see ``docs/tuning.md``):
+Three knob families are tuned — the SELL slice height
+(``sell_chunk``), the reorder window (``sigma``) and the SMO
+kernel-row cache budget (``row_cache_mb``) — each timed on the code
+that reads it, plus the measured-best storage format per profile
+bucket.  The subsystem has four layers (see ``docs/tuning.md``):
 
 =================  ====================================================
-``space``          declarative knob catalogue (families, valid values,
-                   profile-conditioned analytic defaults)
+``space``          declarative knob catalogue (one knob per family:
+                   valid values, profile-conditioned analytic
+                   default)
 ``fingerprint``    stable machine identity + dataset profile bucketing
                    (the cache key axes)
-``search``         deterministic measured-time search: coordinate
-                   descent + successive halving with incumbent
-                   protection
+``search``         deterministic measured-time search: successive
+                   halving per family with incumbent protection
 ``cache``          versioned JSON store the consumers consult
                    (``~/.cache/repro/tune.json``; ``REPRO_TUNE=0``
                    kills all consultation)
@@ -26,15 +30,13 @@ from typing import Any
 
 _EXPORTS = {
     "Knob": "repro.tune.space",
-    "SearchSpace": "repro.tune.space",
     "KNOB_FAMILIES": "repro.tune.space",
     "FORMAT_FAMILY": "repro.tune.space",
-    "SPACES": "repro.tune.space",
-    "space_for": "repro.tune.space",
+    "KNOBS": "repro.tune.space",
+    "knob_for": "repro.tune.space",
     "machine_fingerprint": "repro.tune.fingerprint",
     "fingerprint_hash": "repro.tune.fingerprint",
     "profile_bucket": "repro.tune.fingerprint",
-    "MACHINE_BUCKET": "repro.tune.fingerprint",
     "TuneCache": "repro.tune.cache",
     "tune_cache": "repro.tune.cache",
     "reset_tune_cache": "repro.tune.cache",

@@ -44,12 +44,11 @@ from typing import Any, Dict, Mapping, Optional
 from repro.analysis.race import make_lock, track_shared
 from repro.features.profile import DatasetProfile
 from repro.tune.fingerprint import (
-    MACHINE_BUCKET,
     fingerprint_hash,
     machine_fingerprint,
     profile_bucket,
 )
-from repro.tune.space import SPACES, space_for
+from repro.tune.space import KNOBS
 
 #: Bump when the entry layout changes; older files fall back cleanly.
 SCHEMA_VERSION = 1
@@ -83,15 +82,15 @@ def entry_key(fp_hash: str, bucket: str, family: str) -> str:
 
 def _valid_entry(family: str, payload: Any) -> bool:
     """Schema check for one entry: params must satisfy the family's
-    space (the pseudo-family ``format`` carries a format name)."""
+    knob (the pseudo-family ``format`` carries a format name)."""
     if not isinstance(payload, dict):
         return False
     params = payload.get("params")
     if not isinstance(params, dict):
         return False
-    if family in SPACES:
+    if family in KNOBS:
         try:
-            space_for(family).validate(params)
+            KNOBS[family].validate(params)
         except (ValueError, TypeError):
             return False
         return True
@@ -197,22 +196,7 @@ class TuneCache:
                 pass  # repro: the temp file was already renamed away
             raise
 
-    def reload(self) -> None:
-        """Drop the in-memory view and re-read the file on next access."""
-        with self._lock:
-            self._loaded = False
-            self._entries = {}
-
     # -- lookups ----------------------------------------------------------
-    def bucket_for(
-        self, family: str, profile: Optional[DatasetProfile]
-    ) -> str:
-        if family in SPACES and SPACES[family].machine_wide:
-            return MACHINE_BUCKET
-        if profile is None:
-            return MACHINE_BUCKET
-        return profile_bucket(profile)
-
     def has_family(self, family: str) -> bool:
         """Whether *any* entry for ``family`` exists under this
         machine's fingerprint — the cheap precheck hot construction
@@ -227,20 +211,20 @@ class TuneCache:
             )
 
     def get(
-        self, family: str, profile: Optional[DatasetProfile] = None
+        self, family: str, profile: DatasetProfile
     ) -> Optional[Dict[str, Any]]:
         """The warm entry for ``(this machine, profile bucket, family)``
         or ``None`` — cold keys mean "use the analytic default"."""
         if not tuning_enabled():
             return None
-        key = entry_key(self.fp_hash, self.bucket_for(family, profile), family)
+        key = entry_key(self.fp_hash, profile_bucket(profile), family)
         with self._lock:
             self._load_locked()
             entry = self._entries.get(key)
             return dict(entry) if entry is not None else None
 
     def get_params(
-        self, family: str, profile: Optional[DatasetProfile] = None
+        self, family: str, profile: DatasetProfile
     ) -> Optional[Dict[str, Any]]:
         entry = self.get(family, profile)
         return dict(entry["params"]) if entry is not None else None
@@ -250,15 +234,14 @@ class TuneCache:
         family: str,
         params: Mapping[str, Any],
         *,
-        profile: Optional[DatasetProfile] = None,
-        bucket: Optional[str] = None,
+        profile: DatasetProfile,
         stats: Optional[Mapping[str, Any]] = None,
         persist: bool = True,
     ) -> str:
         """Store one tuned entry (and by default persist the file).
 
         Returns the flat key written.  ``params`` are validated against
-        the family's space before anything is stored, so an impossible
+        the family's knob before anything is stored, so an impossible
         configuration can never be persisted.
         """
         payload: Dict[str, Any] = {"params": dict(params)}
@@ -268,9 +251,7 @@ class TuneCache:
             raise ValueError(
                 f"invalid tuned entry for family {family!r}: {params!r}"
             )
-        if bucket is None:
-            bucket = self.bucket_for(family, profile)
-        key = entry_key(self.fp_hash, bucket, family)
+        key = entry_key(self.fp_hash, profile_bucket(profile), family)
         with self._lock:
             self._load_locked()
             self._entries[key] = payload
@@ -335,17 +316,15 @@ def reset_tune_cache() -> None:
 
 def tuned_value(
     family: str,
-    knob: str,
+    profile: DatasetProfile,
     *,
-    profile: Optional[DatasetProfile] = None,
     default: Optional[int] = None,
 ) -> Optional[int]:
-    """One tuned knob value, or ``default`` on a cold key.
+    """The family's tuned knob value, or ``default`` on a cold key.
 
-    The single entry point the consumers (cost model, pool, SMO, the
-    serving tier) go through — it folds in the kill-switch, the
-    fingerprint match and the schema validation, so call sites stay
-    one line.
+    The single entry point the consumers go through — it folds in the
+    kill-switch, the fingerprint match and the schema validation, so
+    call sites stay one line.
     """
     if not tuning_enabled():
         return default
@@ -353,14 +332,13 @@ def tuned_value(
     if not cache.has_family(family):
         return default
     params = cache.get_params(family, profile)
-    if params is None or knob not in params:
+    if params is None:
         return default
-    return int(params[knob])
+    return int(params[KNOBS[family].name])
 
 
 def tuned_for_lengths(
     family: str,
-    knob: str,
     row_lengths,
     shape,
     *,
@@ -373,18 +351,13 @@ def tuned_for_lengths(
     "is anything warm for this family?" check, so cold-cache builds pay
     one dict scan and no profile math.
     """
-    if not tuning_enabled():
-        return default
-    cache = tune_cache()
-    if not cache.has_family(family):
+    if not tuning_enabled() or not tune_cache().has_family(family):
         return default
     from repro.tune.fingerprint import profile_from_lengths
 
-    profile = profile_from_lengths(row_lengths, shape)
-    params = cache.get_params(family, profile)
-    if params is None or knob not in params:
-        return default
-    return int(params[knob])
+    return tuned_value(
+        family, profile_from_lengths(row_lengths, shape), default=default
+    )
 
 
 def tuned_format(

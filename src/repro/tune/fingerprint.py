@@ -17,9 +17,6 @@ the tuning-cache key:
   nnz/row, cv class, density decade, shape class, size decade) so that
   tuned values transfer across matrices with the same structure
   without requiring an exact profile match.
-
-Machine-wide knobs (worker counts) that do not depend on the data use
-the sentinel bucket :data:`MACHINE_BUCKET`.
 """
 
 from __future__ import annotations
@@ -34,9 +31,6 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.features.profile import DatasetProfile
-
-#: Bucket used for knobs that depend on the machine only, not the data.
-MACHINE_BUCKET = "machine"
 
 _FINGERPRINT: Optional[Dict[str, Any]] = None
 

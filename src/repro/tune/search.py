@@ -1,26 +1,22 @@
-"""Measured-time knob search: coordinate descent + successive halving.
+"""Measured-time knob search: successive halving per knob family.
 
 The harness reuses the probe discipline of :mod:`repro.core.autotune`
 (warm-up / repeats / median via :func:`repro.perf.timers.benchmark`,
 row-sampled probes, probe vectors drawn from the matrix's own rows —
-the SMO access pattern), and layers two classic search structures on
-top:
-
-* **greedy coordinate descent** over a family's knobs — one knob is
-  swept while the others sit at the incumbent configuration; and
-* **successive halving** inside each sweep — every candidate is timed
-  at a cheap fidelity (few repeats), the slower half is dropped, the
-  survivors are re-measured at doubled fidelity, until one remains.
+the SMO access pattern), and races each family's candidate values by
+**successive halving**: every candidate is timed at a cheap fidelity
+(few repeats), the slower half is dropped, the survivors are
+re-measured at doubled fidelity, until one remains.
 
 Two properties make the result safe to persist:
 
-* **Incumbent protection** — the profile-conditioned *default*
-  configuration is carried into every rung and re-raced in a final
-  head-to-head at the highest fidelity reached.  The winner is the
-  measured argmin with a default-first tie-break, so a tuned cache
-  entry can never be slower than the analytic default *on its own
-  measurements* — the invariant ``tests/tune/test_integration.py``
-  checks on every persisted winner.
+* **Incumbent protection** — the profile-conditioned *default* value
+  is carried into every rung and re-raced in a final head-to-head at
+  the highest fidelity reached.  The winner is the measured argmin
+  with a default-first tie-break, so a tuned cache entry can never be
+  slower than the analytic default *on its own measurements* — the
+  invariant ``tests/tune/test_integration.py`` checks on every
+  persisted winner.
 * **Determinism** — sampling and probe-row choice are seeded, candidate
   order is fixed by the catalogue, and ties break toward the default;
   re-running with the same seed walks the same configurations.
@@ -48,18 +44,11 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.reorder import RSELLMatrix
 from repro.formats.sell import SELLMatrix
 from repro.obs.trace import get_tracer
-from repro.parallel.kernels import parallel_matvec
-from repro.parallel.pool import WorkerPool
 from repro.perf.timers import benchmark
 from repro.svm.smo import _RowCache
 from repro.tune.cache import TuneCache
-from repro.tune.space import (
-    FORMAT_FAMILY,
-    SPACES,
-    Config,
-    SearchSpace,
-    space_for,
-)
+from repro.tune.fingerprint import profile_bucket
+from repro.tune.space import FORMAT_FAMILY, Config, knob_for
 
 #: A measurer times one configuration at a given repeat count and
 #: returns the median seconds per probe operation.
@@ -164,7 +153,6 @@ class ProbeContext:
             int(i) for i in rng.permutation(m)[:n_probe]
         ]
         self.probe_vectors = [self.csr.row(i) for i in self.probe_ids]
-        self.dense_x = np.ones(sshape[1], dtype=np.float64)
 
     # -- per-family measurers ------------------------------------------
     def measurer_for(self, family: str) -> Measurer:
@@ -199,40 +187,6 @@ class ProbeContext:
             sigma=None if sigma == 0 else sigma,
         )
         return self._smsv_sweep(matrix, repeats)
-
-    def _measure_batch_k(self, config: Config, repeats: int) -> float:
-        k = int(config["batch_k"])
-        vectors = [
-            self.probe_vectors[i % len(self.probe_vectors)]
-            for i in range(k)
-        ]
-        matrix = self.csr
-
-        def run() -> None:
-            matrix.smsv_multi(vectors)
-
-        r = benchmark(run, repeats=repeats, warmup=1)
-        return r.median / k
-
-    def _measure_row_blocks(self, config: Config, repeats: int) -> float:
-        matrix, x = self.csr, self.dense_x
-        min_rows = int(config["min_rows_per_block"])
-
-        def run() -> None:
-            parallel_matvec(matrix, x, min_rows_per_block=min_rows)
-
-        return benchmark(run, repeats=repeats, warmup=1).median
-
-    def _measure_workers(self, config: Config, repeats: int) -> float:
-        matrix, x = self.csr, self.dense_x
-        with WorkerPool(int(config["workers"])) as pool:
-
-            def run() -> None:
-                parallel_matvec(
-                    matrix, x, pool=pool, min_rows_per_block=128
-                )
-
-            return benchmark(run, repeats=repeats, warmup=1).median
 
     def _measure_row_cache_mb(self, config: Config, repeats: int) -> float:
         # Replay a skewed row-access sequence (a hot working set over a
@@ -364,18 +318,10 @@ class TuneSearch:
             fidelity = min(fidelity * 2, self.max_repeats)
 
     # -- one family ----------------------------------------------------
-    def tune_family(
-        self,
-        family: str,
-        ctx: ProbeContext,
-        *,
-        space: Optional[SearchSpace] = None,
-    ) -> FamilyResult:
-        space = space if space is not None else space_for(family)
+    def tune_family(self, family: str, ctx: ProbeContext) -> FamilyResult:
+        knob = knob_for(family)
         measurer = ctx.measurer_for(family)
-        default = space.default_config(ctx.profile)
-        incumbent = dict(default)
-        fidelity = self.base_repeats
+        default = knob.config(knob.default_value(ctx.profile))
         trial_mark = len(self.trials)
 
         tracer = get_tracer()
@@ -383,25 +329,22 @@ class TuneSearch:
             if tracer.enabled:
                 sp.set("family", family)
                 sp.set("m", ctx.shape[0])
-            # Greedy coordinate descent: sweep each knob in catalogue
-            # order with the others pinned at the incumbent.
-            for knob in space.knobs:
-                candidates = space.neighbours(knob, incumbent)
-                incumbent, fidelity = self._halve(
-                    family, measurer, candidates, default
-                )
+            best, fidelity = self._halve(
+                family, measurer, [knob.config(v) for v in knob.values],
+                default,
+            )
             # Final head-to-head at the highest fidelity reached: the
             # measurement pair the cache entry (and the bench gate)
             # stands on.  Runs even with the budget exhausted.
-            best_s = self.measure(family, measurer, incumbent, fidelity)
+            best_s = self.measure(family, measurer, best, fidelity)
             default_s = self.measure(family, measurer, default, fidelity)
             if default_s <= best_s:
-                incumbent, best_s = dict(default), default_s
+                best, best_s = dict(default), default_s
 
         return FamilyResult(
             family=family,
-            best=space.validate(incumbent),
-            default=space.validate(default),
+            best=knob.validate(best),
+            default=knob.validate(default),
             best_seconds=best_s,
             default_seconds=default_s,
             fidelity=fidelity,
@@ -432,26 +375,20 @@ def tune_datasets(
     profile bucket, then the measured-best storage format over
     ``ANALYTIC_FORMATS`` goes in as the :data:`FORMAT_FAMILY` entry at
     batch width 1 — the entry the scheduler's warm path reads in place
-    of analytic pricing.  Machine-wide families (``workers``,
-    ``row_blocks``) are tuned on the first dataset only: their optimum
-    is a property of the box, and re-racing them per dataset would
-    just overwrite one machine entry with another.  ``search_kwargs``
-    go to each dataset's fresh :class:`TuneSearch` (a fresh one, since
-    its measurement memo must not leak across datasets).
+    of analytic pricing.  ``search_kwargs`` go to each dataset's fresh
+    :class:`TuneSearch` (a fresh one, since its measurement memo must
+    not leak across datasets).
 
     Returns ``{name: {"bucket", "format", "families", "budget_spent"}}``
     with ``families`` mapping each tuned family to its
     :class:`FamilyResult`.
     """
-    data_families = [f for f in families if not SPACES[f].machine_wide]
-    machine_families = [f for f in families if SPACES[f].machine_wide]
     tuner = AutoTuner(repeats=search_kwargs.get("base_repeats", 3), seed=seed)
     out: Dict[str, Dict[str, object]] = {}
-    for index, (name, rows, cols, values, shape) in enumerate(datasets):
+    for name, rows, cols, values, shape in datasets:
         ctx = ProbeContext(rows, cols, values, shape, seed=seed)
         search = TuneSearch(seed=seed, **search_kwargs)
-        run = data_families + (machine_families if index == 0 else [])
-        results = search.tune(ctx, run)
+        results = search.tune(ctx, families)
         for family, r in results.items():
             cache.put(
                 family,
@@ -471,7 +408,7 @@ def tune_datasets(
             stats={"median_seconds": probed[0].median_seconds},
         )
         out[name] = {
-            "bucket": cache.bucket_for(FORMAT_FAMILY, ctx.profile),
+            "bucket": profile_bucket(ctx.profile),
             "format": probed[0].fmt,
             "families": results,
             "budget_spent": search.spent,

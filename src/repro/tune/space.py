@@ -1,46 +1,38 @@
 """Declarative knob catalogue: what ``repro tune`` searches.
 
-Six knob families dominate measured kernel time yet were fixed (or
-priced only analytically) before this module existed:
+Three knob families are timed on the very code that reads them:
 
 ==================  ===================================================
-``sell_chunk``      SELL slice height C (``formats.sell.DEFAULT_CHUNK``)
+``sell_chunk``      SELL slice height C (``formats.sell.DEFAULT_CHUNK``),
+                    timed on SELL SMSVs
 ``sigma``           row-reorder window for the sorted layouts
-                    (0 = global sort, the historical default)
-``batch_k``         SpMM sweep width assumed at serving warm-up
-``row_blocks``      minimum rows per parallel row block (partition
-                    granularity of the threaded kernels)
-``workers``         thread-pool width (machine-wide, data-independent)
-``row_cache_mb``    SMO kernel-row cache budget (LIBSVM ``-m``)
+                    (0 = global sort, the historical default), timed on
+                    RSELL SMSVs
+``row_cache_mb``    SMO kernel-row cache budget (LIBSVM ``-m``), timed
+                    on a replayed SMO row-access sequence
 ==================  ===================================================
 
-Each family is a :class:`SearchSpace` of one or more :class:`Knob`\\ s
-with explicit candidate values and a *profile-conditioned* default —
-the value the analytic model would run with, which the search harness
-always keeps in the race (so a tuned entry can never be worse than the
-analytic choice on its own measurements).
+Each family is one :class:`Knob`: explicit candidate values and a
+*profile-conditioned* default — the value the analytic model would run
+with, which the search harness always keeps in the race (so a tuned
+entry can never be worse than the analytic choice on its own
+measurements).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.features.profile import DatasetProfile
 from repro.formats.sell import DEFAULT_CHUNK
 
-#: One concrete assignment of a family's knobs.
+#: One concrete assignment of a family's knob, as cached on disk
+#: (``{"chunk": 16}``).
 Config = Dict[str, int]
 
 #: Canonical family names, in catalogue order.
-KNOB_FAMILIES: Tuple[str, ...] = (
-    "sell_chunk",
-    "sigma",
-    "batch_k",
-    "row_blocks",
-    "workers",
-    "row_cache_mb",
-)
+KNOB_FAMILIES: Tuple[str, ...] = ("sell_chunk", "sigma", "row_cache_mb")
 
 #: The pseudo-family under which the measured-best storage format is
 #: cached.  Not a knob (nothing numeric to sweep — the autotuner's
@@ -51,15 +43,17 @@ FORMAT_FAMILY = "format"
 
 @dataclass(frozen=True)
 class Knob:
-    """One named integer knob with its valid candidate values.
+    """One knob family: a named integer knob and its candidate values.
 
-    ``default`` is the analytic/product default; ``default_for``
-    optionally refines it from a dataset profile (profile-conditioned
-    default).  Candidate values outside ``(lo, hi)`` validity bounds
-    are rejected at construction, so a family can never race an
-    illegal configuration.
+    ``name`` is the parameter key the cache stores (``chunk`` for
+    ``sell_chunk``).  ``default`` is the analytic/product default;
+    ``default_for`` optionally refines it from a dataset profile
+    (profile-conditioned default).  Candidate values outside
+    ``(lo, hi)`` validity bounds are rejected at construction, so a
+    family can never race an illegal configuration.
     """
 
+    family: str
     name: str
     values: Tuple[int, ...]
     default: int
@@ -91,70 +85,22 @@ class Knob:
                 return v
         return self.default
 
-
-@dataclass(frozen=True)
-class SearchSpace:
-    """One knob family: the unit the search harness tunes and the
-    cache stores."""
-
-    family: str
-    knobs: Tuple[Knob, ...]
-    description: str = ""
-    #: Whether the optimum depends on the data (profile-bucketed cache
-    #: key) or on the machine alone (:data:`~repro.tune.fingerprint.
-    #: MACHINE_BUCKET`).
-    machine_wide: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.knobs:
-            raise ValueError(f"family {self.family!r} needs knobs")
-        names = [k.name for k in self.knobs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"family {self.family!r} has duplicate knobs")
-
-    def default_config(
-        self, profile: Optional[DatasetProfile] = None
-    ) -> Config:
-        return {k.name: k.default_value(profile) for k in self.knobs}
-
-    def neighbours(self, knob: Knob, config: Config) -> List[Config]:
-        """All configs that vary ``knob`` with the others held fixed."""
-        out: List[Config] = []
-        for v in knob.values:
-            c = dict(config)
-            c[knob.name] = v
-            out.append(c)
-        return out
-
-    def grid(self, profile: Optional[DatasetProfile] = None) -> List[Config]:
-        """Full cartesian grid, default config first (deterministic)."""
-        configs: List[Config] = [self.default_config(profile)]
-        frontier: List[Config] = [dict(configs[0])]
-        for knob in self.knobs:
-            frontier = [
-                c for base in frontier for c in self.neighbours(knob, base)
-            ]
-        for c in frontier:
-            if c not in configs:
-                configs.append(c)
-        return configs
+    def config(self, value: int) -> Config:
+        return {self.name: int(value)}
 
     def validate(self, config: Config) -> Config:
-        """Clamp-free validation: every knob present with a legal value."""
-        out: Config = {}
-        for knob in self.knobs:
-            if knob.name not in config:
-                raise ValueError(
-                    f"family {self.family!r} config missing {knob.name!r}"
-                )
-            v = int(config[knob.name])
-            if v not in knob.values:
-                raise ValueError(
-                    f"family {self.family!r}: {knob.name}={v} is not a "
-                    f"candidate value"
-                )
-            out[knob.name] = v
-        return out
+        """Clamp-free validation: the knob present with a legal value."""
+        if self.name not in config:
+            raise ValueError(
+                f"family {self.family!r} config missing {self.name!r}"
+            )
+        v = int(config[self.name])
+        if v not in self.values:
+            raise ValueError(
+                f"family {self.family!r}: {self.name}={v} is not a "
+                f"candidate value"
+            )
+        return self.config(v)
 
 
 def _sigma_default(p: DatasetProfile) -> int:
@@ -183,99 +129,42 @@ def _cache_default(p: DatasetProfile) -> int:
     return row_cache_default_mb(p.m)
 
 
-#: The catalogue (family name -> search space).
-SPACES: Dict[str, SearchSpace] = {
-    "sell_chunk": SearchSpace(
+#: The catalogue (family name -> knob).
+KNOBS: Dict[str, Knob] = {
+    "sell_chunk": Knob(
         family="sell_chunk",
-        description="SELL slice height C: padding-vs-locality trade",
-        knobs=(
-            Knob(
-                name="chunk",
-                values=(2, 4, 8, 16, 32, 64),
-                default=DEFAULT_CHUNK,
-                lo=1,
-                hi=1 << 20,
-                description="rows per SELL slice",
-            ),
-        ),
+        name="chunk",
+        values=(2, 4, 8, 16, 32, 64),
+        default=DEFAULT_CHUNK,
+        lo=1,
+        hi=1 << 20,
+        description="rows per SELL slice: padding-vs-locality trade",
     ),
-    "sigma": SearchSpace(
+    "sigma": Knob(
         family="sigma",
-        description="reorder window for RSELL/RCSR (0 = global sort)",
-        knobs=(
-            Knob(
-                name="sigma",
-                values=(0, 16, 64, 256, 1024, 4096),
-                default=0,
-                description="rows per descending-length sort window "
-                "(0 sorts the whole matrix)",
-                default_for=_sigma_default,
-            ),
-        ),
+        name="sigma",
+        values=(0, 16, 64, 256, 1024, 4096),
+        default=0,
+        description="rows per descending-length sort window for "
+        "RSELL/RCSR (0 sorts the whole matrix)",
+        default_for=_sigma_default,
     ),
-    "batch_k": SearchSpace(
-        family="batch_k",
-        description="SpMM sweep width assumed at serving warm-up",
-        knobs=(
-            Knob(
-                name="batch_k",
-                values=(1, 2, 4, 8, 16, 32),
-                default=1,
-                lo=1,
-                description="right-hand sides per blocked sweep",
-            ),
-        ),
-    ),
-    "row_blocks": SearchSpace(
-        family="row_blocks",
-        description="parallel partition granularity",
-        machine_wide=True,
-        knobs=(
-            Knob(
-                name="min_rows_per_block",
-                values=(128, 256, 512, 1024, 2048, 4096),
-                default=256,
-                lo=1,
-                description="smallest row block worth a pool dispatch",
-            ),
-        ),
-    ),
-    "workers": SearchSpace(
-        family="workers",
-        description="thread-pool width for the row-block kernels",
-        machine_wide=True,
-        knobs=(
-            Knob(
-                name="workers",
-                values=(1, 2, 4, 8, 16),
-                default=1,
-                lo=1,
-                hi=1024,
-                description="pool threads (env REPRO_NUM_THREADS wins)",
-            ),
-        ),
-    ),
-    "row_cache_mb": SearchSpace(
+    "row_cache_mb": Knob(
         family="row_cache_mb",
-        description="SMO kernel-row LRU cache budget (LIBSVM -m)",
-        knobs=(
-            Knob(
-                name="row_cache_mb",
-                values=(0, 1, 4, 16, 64),
-                default=4,
-                description="megabytes of cached float64 kernel rows "
-                "(0 disables)",
-                default_for=_cache_default,
-            ),
-        ),
+        name="row_cache_mb",
+        values=(0, 1, 4, 16, 64),
+        default=4,
+        description="megabytes of cached float64 SMO kernel rows "
+        "(LIBSVM -m; 0 disables)",
+        default_for=_cache_default,
     ),
 }
 
 
-def space_for(family: str) -> SearchSpace:
-    """Look up a family's search space; raises on unknown families."""
+def knob_for(family: str) -> Knob:
+    """Look up a family's knob; raises on unknown families."""
     try:
-        return SPACES[family]
+        return KNOBS[family]
     except KeyError:
         raise ValueError(
             f"unknown knob family {family!r}; expected one of "

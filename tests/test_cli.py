@@ -223,6 +223,50 @@ class TestExplain:
         assert explanation.rstrip().splitlines()[-1] == f"-> {forced}"
 
 
+class TestTuneCLI:
+    @pytest.fixture(autouse=True)
+    def _cache(self, tmp_path, monkeypatch):
+        from repro.tune.cache import reset_tune_cache
+
+        path = tmp_path / "tune.json"
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(path))
+        reset_tune_cache()
+        yield path
+        reset_tune_cache()
+
+    def test_tune_dataset_persists_families_and_format(
+        self, libsvm_file, _cache, capsys
+    ):
+        import json
+
+        path, _n = libsvm_file
+        code = main(
+            [
+                "tune", "--dataset", path,
+                "--families", "sell_chunk,sigma",
+                "--budget", "8", "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cache"] == str(_cache)
+        result = payload["datasets"][path]
+        assert set(result["families"]) == {"sell_chunk", "sigma"}
+        assert result["format"]
+        for r in result["families"].values():
+            assert r["best_seconds"] <= r["default_seconds"]
+        doc = json.loads(_cache.read_text())
+        families = {key.rsplit("|", 1)[1] for key in doc["entries"]}
+        assert families == {"sell_chunk", "sigma", "format"}
+
+    def test_tune_rejects_a_retired_family(self, _cache, capsys):
+        assert main(["tune", "--families", "workers"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown knob family 'workers'" in err
+        assert "sell_chunk, sigma, row_cache_mb" in err
+        assert not _cache.exists()
+
+
 class TestServeCLI:
     def test_serve_default_demo_reschedules_once(self, capsys):
         import json

@@ -22,7 +22,6 @@ from repro.tune.cache import (
     tuned_value,
     tuning_enabled,
 )
-from repro.tune.fingerprint import MACHINE_BUCKET
 from repro.tune.space import FORMAT_FAMILY
 
 
@@ -66,19 +65,13 @@ class TestRoundtrip:
     def test_cold_key_is_none(self, cache_path):
         cache = TuneCache(cache_path)
         assert cache.get("sell_chunk", _profile()) is None
-        assert cache.get_params("sigma") is None
-
-    def test_machine_wide_bucket(self, cache_path):
-        cache = TuneCache(cache_path)
-        cache.put("workers", {"workers": 4})
-        # machine-wide families ignore the profile entirely
-        assert cache.get_params("workers", _profile()) == {"workers": 4}
-        assert cache.bucket_for("workers", _profile()) == MACHINE_BUCKET
+        assert cache.get_params("sigma", _profile()) is None
 
     def test_put_validates(self, cache_path):
         cache = TuneCache(cache_path)
         with pytest.raises(ValueError, match="invalid tuned entry"):
-            cache.put("sell_chunk", {"chunk": 3})  # not a candidate value
+            # not a candidate value
+            cache.put("sell_chunk", {"chunk": 3}, profile=_profile())
 
     def test_atomic_write_leaves_no_temp_files(self, cache_path):
         cache = TuneCache(cache_path)
@@ -195,19 +188,14 @@ class TestHelpers:
 
     def test_kill_switch(self, cache_path, monkeypatch):
         tune_cache().put("sell_chunk", {"chunk": 64}, profile=_profile())
-        assert (
-            tuned_value("sell_chunk", "chunk", profile=_profile()) == 64
-        )
+        assert tuned_value("sell_chunk", _profile()) == 64
         monkeypatch.setenv("REPRO_TUNE", "0")
         assert not tuning_enabled()
-        assert (
-            tuned_value("sell_chunk", "chunk", profile=_profile(), default=8)
-            == 8
-        )
+        assert tuned_value("sell_chunk", _profile(), default=8) == 8
 
     def test_tuned_value_cold_default(self, cache_path):
-        assert tuned_value("sigma", "sigma", default=0) == 0
-        assert tuned_value("sigma", "sigma") is None
+        assert tuned_value("sigma", _profile(), default=0) == 0
+        assert tuned_value("sigma", _profile()) is None
 
     def test_tuned_format_requires_matching_batch_k(self, cache_path):
         tune_cache().put(

@@ -6,7 +6,6 @@ from repro.data.synthetic import uniform_rows_matrix
 from repro.features.extract import profile_from_coo
 from repro.features.profile import DatasetProfile
 from repro.tune.fingerprint import (
-    MACHINE_BUCKET,
     fingerprint_hash,
     machine_fingerprint,
     profile_bucket,
@@ -77,9 +76,6 @@ class TestProfileBucket:
         uni = profile_bucket(_profile(vdim=0.0))
         wide = profile_bucket(_profile(vdim=400.0))
         assert uni != wide
-
-    def test_machine_bucket_sentinel(self):
-        assert MACHINE_BUCKET == "machine"
 
 
 class TestProfileFromLengths:

@@ -8,10 +8,13 @@ Two contracts under test:
    batch-width mismatches all fall back to the analytic path,
    unchanged.
 2. **Value preservation** — every knob the cache feeds (SELL slice
-   height, reorder window, partition granularity, worker count, SVM
-   row-cache budget) only moves *time*.  Warm-cache outputs must be
+   height, reorder window, SVM row-cache budget) only moves *time*.  Warm-cache outputs must be
    bitwise identical to kill-switch outputs.
 """
+
+import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -26,14 +29,25 @@ from repro.formats.reorder import RSELLMatrix
 from repro.formats.sell import DEFAULT_CHUNK, SELLMatrix
 from repro.obs.audit import audit_log
 from repro.obs.report import REPORT_DATASETS
-from repro.parallel.kernels import parallel_matvec
-from repro.parallel.pool import WorkerPool
+from repro.parallel.partition import (
+    DEFAULT_MIN_ROWS_PER_BLOCK,
+    default_min_rows_per_block,
+)
+from repro.parallel.pool import default_workers
 from repro.serve.rescheduler import FormatRescheduler
 from repro.svm.kernels import LinearKernel
 from repro.svm.smo import smo_train
-from repro.tune.cache import reset_tune_cache, tune_cache
+from repro.tune.cache import (
+    SCHEMA_VERSION,
+    entry_key,
+    reset_tune_cache,
+    tune_cache,
+    tuned_format,
+    tuned_value,
+)
+from repro.tune.fingerprint import profile_bucket
 from repro.tune.search import tune_datasets
-from repro.tune.space import FORMAT_FAMILY, row_cache_default_mb, space_for
+from repro.tune.space import FORMAT_FAMILY, knob_for, row_cache_default_mb
 
 
 @pytest.fixture
@@ -146,7 +160,7 @@ class TestTuneGate:
         ]
         tuned = tune_datasets(
             datasets,
-            ("sell_chunk", "sigma", "batch_k"),
+            ("sell_chunk", "sigma", "row_cache_mb"),
             cache=tune_cache(),
             base_repeats=1,
             max_repeats=2,
@@ -196,16 +210,17 @@ class TestTuneGate:
 
 class TestServeWarmup:
     def test_warm_cache_sets_initial_format_and_width(self, cache_path):
+        # Warm-up decides at width 1, the width `repro tune` writes
+        # its format entry at; the histogram takes over from there.
         rows, cols, vals, shape = _coo()
         profile = profile_from_coo(rows, cols, shape)
-        tune_cache().put("batch_k", {"batch_k": 8}, profile=profile)
-        _warm_format(profile, fmt="sell", batch_k=8)
+        _warm_format(profile, fmt="sell", batch_k=1)
         resched = FormatRescheduler()
         matrix = CSRMatrix.from_coo(rows, cols, vals, shape)
         assert resched.initial_format(matrix) == "SELL"
         rec = audit_log().records(source="serve")[-1]
         assert rec.decision_source == "tuned"
-        assert rec.batch_k == 8
+        assert rec.batch_k == 1
 
     def test_warm_fmt_outside_serve_family_is_rejected(self, cache_path):
         # DEN is a legal scheduler format but not bitwise-exact under
@@ -251,16 +266,6 @@ class TestDeterminismGuards:
         cold = RSELLMatrix.from_coo(rows, cols, vals, shape)
         x = np.linspace(-1.0, 1.0, shape[1])
         assert np.array_equal(warm.matvec(x), cold.matvec(x))
-
-    def test_partition_and_workers_only_move_time(self, cache_path):
-        rows, cols, vals, shape = _coo(seed=13)
-        tune_cache().put("row_blocks", {"min_rows_per_block": 128})
-        tune_cache().put("workers", {"workers": 2})
-        matrix = CSRMatrix.from_coo(rows, cols, vals, shape)
-        x = np.linspace(-1.0, 1.0, shape[1])
-        with WorkerPool(2) as pool:
-            warm = parallel_matvec(matrix, x, pool=pool)
-        assert np.array_equal(warm, matrix.matvec(x))
 
     def test_row_cache_budget_only_moves_time(
         self, cache_path, monkeypatch
@@ -328,10 +333,8 @@ class TestRowCacheSizing:
     ):
         X, y, profile = self._problem("DEN")
         smo_train(X, y, LinearKernel(), max_iter=500)
-        incumbent = space_for("row_cache_mb").default_config(profile)
-        assert capacities == [
-            incumbent["row_cache_mb"] * 1024 * 1024 // (8 * X.shape[0])
-        ]
+        incumbent = knob_for("row_cache_mb").default_value(profile)
+        assert capacities == [incumbent * 1024 * 1024 // (8 * X.shape[0])]
 
     def test_explicit_sizes_beat_a_warm_entry(self, cache_path, capacities):
         X, y, profile = self._problem("DEN")
@@ -339,3 +342,77 @@ class TestRowCacheSizing:
         smo_train(X, y, LinearKernel(), max_iter=500, cache_rows=7)
         smo_train(X, y, LinearKernel(), max_iter=500, cache_mb=1.0)
         assert capacities == [7, 1024 * 1024 // (8 * X.shape[0])]
+
+
+class TestParentCacheCompat:
+    """A schema-1 file written before ``batch_k``, ``row_blocks`` and
+    ``workers`` were retired still serves its kept entries, and the
+    retired ones reach no consumer."""
+
+    def _write_parent_file(self, path, profile):
+        fp = tune_cache().fp_hash
+        bucket = profile_bucket(profile)
+        # Exactly what the older writer persisted, retired families
+        # under both the profile bucket and the machine-wide bucket.
+        doc = {
+            "schema": 1,
+            "fingerprint": {"cpu_model": "recorded-at-write-time"},
+            "fingerprint_hash": fp,
+            "entries": {
+                f"{fp}|{bucket}|sell_chunk": {
+                    "params": {"chunk": 16},
+                    "median_seconds": 1.1e-05,
+                    "default_seconds": 1.3e-05,
+                    "fidelity": 12,
+                },
+                f"{fp}|{bucket}|sigma": {"params": {"sigma": 64}},
+                f"{fp}|{bucket}|row_cache_mb": {
+                    "params": {"row_cache_mb": 1}
+                },
+                f"{fp}|{bucket}|format": {
+                    "params": {"fmt": "SELL", "batch_k": 1},
+                    "median_seconds": 2.0e-05,
+                },
+                f"{fp}|{bucket}|batch_k": {"params": {"batch_k": 16}},
+                f"{fp}|{bucket}|row_blocks": {
+                    "params": {"min_rows_per_block": 4096}
+                },
+                f"{fp}|{bucket}|workers": {"params": {"workers": 16}},
+                f"{fp}|machine|batch_k": {"params": {"batch_k": 32}},
+                f"{fp}|machine|row_blocks": {
+                    "params": {"min_rows_per_block": 2048}
+                },
+                f"{fp}|machine|workers": {"params": {"workers": 16}},
+            },
+        }
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+    def test_parent_file_loads_and_kept_entries_answer(
+        self, cache_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        rows, cols, vals, shape = _coo()
+        profile = profile_from_coo(rows, cols, shape)
+        assert SCHEMA_VERSION == 1
+        self._write_parent_file(cache_path, profile)
+        reset_tune_cache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tuned_value("sell_chunk", profile) == 16
+            assert tuned_value("sigma", profile) == 64
+            assert tuned_value("row_cache_mb", profile) == 1
+            assert tuned_format(profile, batch_k=1) == "SELL"
+            assert SELLMatrix.from_coo(rows, cols, vals, shape).chunk == 16
+
+            # The retired entries are ignored by their old readers.
+            assert default_workers() == max(1, os.cpu_count() or 1)
+            assert default_min_rows_per_block() == DEFAULT_MIN_ROWS_PER_BLOCK
+            matrix = CSRMatrix.from_coo(rows, cols, vals, shape)
+            assert FormatRescheduler().initial_format(matrix) == "SELL"
+        rec = audit_log().records(source="serve")[-1]
+        assert rec.decision_source == "tuned"
+        assert rec.batch_k == 1
+        # Nothing was dropped from the file: an older reader sharing
+        # it still finds its entries.
+        key = entry_key(tune_cache().fp_hash, "machine", "workers")
+        assert key in tune_cache().entries()

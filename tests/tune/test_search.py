@@ -10,7 +10,7 @@ from repro.tune.search import (
     TuneSearch,
     params_key,
 )
-from repro.tune.space import space_for
+from repro.tune.space import KNOB_FAMILIES, knob_for
 
 
 class StubCtx:
@@ -140,14 +140,16 @@ class TestProbeContext:
     def test_unknown_family_has_no_measurer(self):
         rows, cols, vals, shape = uniform_rows_matrix(8, 8, 2, seed=1)
         ctx = ProbeContext(rows, cols, vals, shape)
-        with pytest.raises(ValueError, match="no measurer"):
-            ctx.measurer_for("nope")
+        for family in ("nope", "batch_k", "row_blocks", "workers"):
+            with pytest.raises(ValueError, match="no measurer"):
+                ctx.measurer_for(family)
 
     def test_real_measurers_return_positive_seconds(self):
         rows, cols, vals, shape = uniform_rows_matrix(32, 16, 4, seed=2)
         ctx = ProbeContext(rows, cols, vals, shape, seed=2)
-        for family in ("sell_chunk", "sigma", "batch_k", "row_cache_mb"):
-            config = space_for(family).default_config(ctx.profile)
+        for family in KNOB_FAMILIES:
+            knob = knob_for(family)
+            config = knob.config(knob.default_value(ctx.profile))
             assert ctx.measurer_for(family)(config, 1) > 0.0
 
 
@@ -156,9 +158,8 @@ class TestEndToEnd:
         rows, cols, vals, shape = uniform_rows_matrix(64, 32, 4, seed=4)
         ctx = ProbeContext(rows, cols, vals, shape, seed=4)
         search = TuneSearch(seed=4, base_repeats=1, max_repeats=2, budget=48)
-        results = search.tune(ctx, ("sell_chunk", "batch_k"))
-        assert set(results) == {"sell_chunk", "batch_k"}
+        results = search.tune(ctx, ("sell_chunk", "row_cache_mb"))
+        assert set(results) == {"sell_chunk", "row_cache_mb"}
         for family, r in results.items():
-            space = space_for(family)
-            space.validate(r.best)  # persisted winner is always legal
+            knob_for(family).validate(r.best)  # persisted winner is legal
             assert r.best_seconds <= r.default_seconds

@@ -7,10 +7,9 @@ from repro.formats.sell import DEFAULT_CHUNK
 from repro.tune.space import (
     FORMAT_FAMILY,
     KNOB_FAMILIES,
-    SPACES,
+    KNOBS,
     Knob,
-    SearchSpace,
-    space_for,
+    knob_for,
 )
 
 
@@ -30,18 +29,19 @@ def _profile(**over):
 class TestKnob:
     def test_default_must_be_candidate(self):
         with pytest.raises(ValueError, match="default"):
-            Knob(name="k", values=(1, 2), default=3)
+            Knob(family="f", name="k", values=(1, 2), default=3)
 
     def test_candidates_respect_bounds(self):
         with pytest.raises(ValueError, match="outside"):
-            Knob(name="k", values=(0, 2), default=2, lo=1)
+            Knob(family="f", name="k", values=(0, 2), default=2, lo=1)
 
     def test_needs_values(self):
         with pytest.raises(ValueError, match="candidate values"):
-            Knob(name="k", values=(), default=0)
+            Knob(family="f", name="k", values=(), default=0)
 
     def test_profile_conditioned_default(self):
         k = Knob(
+            family="f",
             name="k",
             values=(1, 2, 4),
             default=1,
@@ -53,83 +53,47 @@ class TestKnob:
 
     def test_conditioned_default_outside_values_falls_back(self):
         k = Knob(
-            name="k", values=(1, 2), default=1, default_for=lambda p: 99
+            family="f", name="k", values=(1, 2), default=1,
+            default_for=lambda p: 99,
         )
         assert k.default_value(_profile()) == 1
 
 
 class TestSearchSpace:
-    def test_needs_knobs(self):
-        with pytest.raises(ValueError, match="needs knobs"):
-            SearchSpace(family="f", knobs=())
-
-    def test_duplicate_knobs_rejected(self):
-        k = Knob(name="k", values=(1,), default=1)
-        with pytest.raises(ValueError, match="duplicate"):
-            SearchSpace(family="f", knobs=(k, k))
-
-    def test_grid_default_first_and_deterministic(self):
-        space = space_for("sell_chunk")
-        g1 = space.grid()
-        g2 = space.grid()
-        assert g1 == g2
-        assert g1[0] == space.default_config()
-        assert len(g1) == len(space.knobs[0].values)
-
-    def test_neighbours_vary_one_knob(self):
-        space = space_for("sigma")
-        base = space.default_config()
-        neigh = space.neighbours(space.knobs[0], base)
-        assert len(neigh) == len(space.knobs[0].values)
-        assert base in neigh
+    """A family's search space is its knob's candidate values."""
 
     def test_validate_roundtrip(self):
-        space = space_for("batch_k")
-        assert space.validate({"batch_k": 8}) == {"batch_k": 8}
+        knob = knob_for("sell_chunk")
+        assert knob.validate({"chunk": 8}) == {"chunk": 8}
 
     def test_validate_rejects_missing_and_illegal(self):
-        space = space_for("batch_k")
+        knob = knob_for("sell_chunk")
         with pytest.raises(ValueError, match="missing"):
-            space.validate({})
+            knob.validate({})
         with pytest.raises(ValueError, match="not a"):
-            space.validate({"batch_k": 3})
+            knob.validate({"chunk": 3})
 
 
 class TestCatalogue:
     def test_every_family_registered(self):
-        assert set(KNOB_FAMILIES) == set(SPACES)
-        for family, space in SPACES.items():
-            assert space.family == family
+        assert KNOB_FAMILIES == ("sell_chunk", "sigma", "row_cache_mb")
+        assert set(KNOB_FAMILIES) == set(KNOBS)
+        for family, knob in KNOBS.items():
+            assert knob.family == family
 
     def test_format_family_is_not_a_knob_family(self):
-        assert FORMAT_FAMILY not in SPACES
+        assert FORMAT_FAMILY not in KNOBS
 
     def test_sell_chunk_default_matches_builder(self):
-        assert (
-            space_for("sell_chunk").default_config()["chunk"]
-            == DEFAULT_CHUNK
-        )
-
-    def test_machine_wide_families(self):
-        assert SPACES["workers"].machine_wide
-        assert SPACES["row_blocks"].machine_wide
-        assert not SPACES["sell_chunk"].machine_wide
-
-    def test_row_blocks_default_matches_kernels(self):
-        from repro.parallel.partition import DEFAULT_MIN_ROWS_PER_BLOCK
-
-        assert (
-            space_for("row_blocks").default_config()["min_rows_per_block"]
-            == DEFAULT_MIN_ROWS_PER_BLOCK
-        )
+        assert knob_for("sell_chunk").default_value() == DEFAULT_CHUNK
 
     def test_sigma_profile_conditioning(self):
-        space = space_for("sigma")
+        knob = knob_for("sigma")
         uniform = _profile(vdim=0.0)  # cv_dim = 0
-        assert space.default_config(uniform)["sigma"] == 64
+        assert knob.default_value(uniform) == 64
         skewed = _profile(vdim=400.0)  # cv_dim >> 0.25
-        assert space.default_config(skewed)["sigma"] == 0
+        assert knob.default_value(skewed) == 0
 
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown knob family"):
-            space_for("nope")
+            knob_for("nope")
