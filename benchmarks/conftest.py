@@ -23,6 +23,27 @@ from repro.formats import FORMAT_NAMES, MatrixFormat, format_class
 from repro.perf.timers import benchmark as time_fn
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _isolated_tune_cache(tmp_path_factory):
+    """Pin the persisted tuning cache to a per-session temp file.
+
+    The shape assertions are written against the analytic defaults: a
+    developer's real ``~/.cache/repro/tune.json`` (say, after ``make
+    tune``) must not hand the SELL builders or the cost model a tuned
+    slice height mid-experiment.
+    """
+    from repro.tune.cache import reset_tune_cache
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(
+            "REPRO_TUNE_CACHE",
+            str(tmp_path_factory.mktemp("tune") / "tune.json"),
+        )
+        reset_tune_cache()
+        yield
+    reset_tune_cache()
+
+
 def measure_smsv_seconds(
     matrix: MatrixFormat,
     *,

@@ -12,9 +12,9 @@ serve     simulate an online serving session (micro-batching + runtime
 bench     run a timed benchmark suite (smsv, sell, serve, obs) and
           write its record; exit 1 when an enforced gate fails
 tune      measured-time knob search (SELL chunk, sigma window, SMO
-          row cache) plus the measured-best format; winners persist
-          to ``~/.cache/repro/tune.json`` where the scheduler, the
-          format builders and SMO consult them
+          row cache); winners persist to ``~/.cache/repro/tune.json``
+          where the format builders, the cost model and SMO consult
+          them
 trace     run any other command with tracing on and export the span
           tree, decision audit log, and metrics
 obs       observability reports (``obs report``: scheduler regret —
@@ -378,11 +378,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     With ``--dataset`` the search runs on that LIBSVM file; otherwise
     it covers the synthetic report suite (one profile bucket per
     dataset family).  Winners land in the persisted tuning cache
-    (``REPRO_TUNE_CACHE`` or ``~/.cache/repro/tune.json``) where the
-    scheduler and the serving warm-up (``format``), the SELL and
-    sorted-layout builders and the cost model (``sell_chunk``,
-    ``sigma``) and the SMO row cache (``row_cache_mb``) consult them
-    on every later run.
+    (``REPRO_TUNE_CACHE`` or ``~/.cache/repro/tune.json``), keyed on
+    each dataset's full profile, where the SELL and sorted-layout
+    builders and the cost model (``sell_chunk``, ``sigma``) and the
+    SMO row cache (``row_cache_mb``) consult them on every later run.
     """
     import json
 
@@ -438,7 +437,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             + (f" x{r.speedup:.2f}" if r.improved else " (=default)")
             for f, r in d["families"].items()
         )
-        print(f"{name:12s}: format {d['format']:5s}  {fams}")
+        print(f"{name:12s}: {fams}")
     print(f"cache       : {cache.path} ({len(cache)} entries)")
     return 0
 
@@ -876,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "tune",
         help="measured-time knob search; winners persist to the "
-        "tuning cache the scheduler, builders and SMO consult",
+        "tuning cache the format builders, cost model and SMO consult",
     )
     p.add_argument(
         "--budget",

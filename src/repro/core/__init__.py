@@ -16,8 +16,8 @@ decision mechanisms are provided, mirroring the paper's Section III.B:
 
 :class:`repro.core.scheduler.LayoutScheduler` combines them: rules and
 the cost model are free, probing costs a few milliseconds; the *hybrid*
-strategy uses the model to shortlist and probes only the shortlist,
-and only when the model's margin is too small to trust.
+strategy probes only the model's two cheapest formats, and only when
+the model's margin is too small to trust.
 Decisions are cached by quantised profile.
 """
 

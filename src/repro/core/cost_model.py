@@ -299,48 +299,3 @@ class CostModel:
         batch_k: int = 1,
     ) -> str:
         return self.rank(p, candidates, batch_k)[0].fmt
-
-    # -- conversion accounting -----------------------------------------
-    def conversion_cost(self, p: DatasetProfile, target: str) -> float:
-        """Model cost of converting the input into ``target`` format.
-
-        One pass over the nnz (sort-dominated, modelled linear with a
-        constant) plus writing the target's storage.  The scheduler
-        amortises this against the per-iteration savings: SMO runs
-        thousands of iterations, so conversion is nearly always worth
-        it — but the accounting keeps the decision honest for tiny
-        iteration budgets.
-        """
-        build = 4.0 * p.nnz
-        if target.upper() in ("RCSR", "RSELL"):
-            # Reordered targets also sort the row-length keys (the
-            # sigma-window permutation) and gather rows through it.
-            build += p.m * math.log2(max(p.m, 2)) + p.nnz
-        write = self.effective_elements(target, p)
-        return build + write
-
-    def worthwhile(
-        self,
-        p: DatasetProfile,
-        current: str,
-        target: str,
-        iterations: int,
-        batch_k: int = 1,
-    ) -> bool:
-        """Is converting from ``current`` to ``target`` net-positive for
-        an SMO run of ``iterations`` steps (2 SMSVs per step)?
-
-        With ``batch_k > 1`` the two per-iteration kernel rows arrive as
-        blocked sweeps of width ``batch_k``, so an iteration performs
-        ``2 / batch_k`` sweeps on average; the per-sweep costs are the
-        batched ones.  ``batch_k=1`` reproduces the historical model
-        exactly.
-        """
-        if iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        sweeps = 2.0 / batch_k * iterations
-        saving = (
-            self.cost(current, p, batch_k).cost
-            - self.cost(target, p, batch_k).cost
-        ) * sweeps
-        return saving > self.conversion_cost(p, target)

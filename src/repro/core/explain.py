@@ -7,8 +7,8 @@ not a fresh ranking of its profile:
 
 1. the nine influencing parameters,
 2. the rule-based decision trace (which rule fired, why),
-3. where the decision came from (``analytic``, ``tuned`` or
-   ``probe``) and its reason,
+3. where the decision came from (``analytic`` or ``probe``) and its
+   reason,
 4. the cost model's per-format ranking the decision was priced with,
 5. the probe timings, when the strategy measured,
 
@@ -17,18 +17,14 @@ as one text block (``python -m repro schedule --explain`` prints it).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.core.rules import RuleThresholds, rule_based_choice
+from repro.core.rules import rule_based_choice
 from repro.core.scheduler import Decision
 from repro.features.profile import PARAMETER_NAMES
 
 
-def explain(
-    decision: Decision,
-    *,
-    thresholds: Optional[RuleThresholds] = None,
-) -> str:
+def explain(decision: Decision) -> str:
     """Render the full rationale of one scheduling decision."""
     profile = decision.profile
     lines: List[str] = []
@@ -44,7 +40,7 @@ def explain(
     )
     lines.append("")
 
-    rd = rule_based_choice(profile, thresholds)
+    rd = rule_based_choice(profile)
     lines.append("rule-based decision")
     lines.append(f"  -> {rd.fmt}  (rule '{rd.rule}')")
     lines.append(f"     {rd.reason}")

@@ -8,22 +8,22 @@ Strategy  Behaviour
 rules     decision list only (microseconds, fully predictable)
 cost      analytic cost model only (microseconds, machine-calibrated)
 probe     measure every format on a row sample (milliseconds, exact)
-hybrid    cost model shortlists top-k, probe decides among them;
+hybrid    probe decides between the model's two cheapest formats;
           a pick the model is sure of (see ``BAND``) stands unprobed
 ========  =============================================================
 
 Every decision, training-time or serving-time, is made by one method
-(:meth:`LayoutScheduler._decide`) consulting its sources in a fixed
-order: the persisted tuning cache, then the in-memory
-:class:`DecisionCache`, then the configured strategy.  The first
-source with an answer inside ``candidates`` wins, and the returned
-:class:`Decision` carries the model's per-format costs (and any
-measured ones) for the audit record and for callers' own policies.
+(:meth:`LayoutScheduler._decide`): the in-memory :class:`DecisionCache`
+answers for a profile it has seen, otherwise the configured strategy
+decides from the matrix's own profile (and, for probe and hybrid, its
+own rows).  The returned :class:`Decision` carries the model's
+per-format costs (and any measured ones) for the audit record and for
+callers' own policies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from repro.analysis.race import make_lock, track_shared
 
 from repro.core.autotune import AutoTuner
 from repro.core.cost_model import ArchCalibration, CostModel
-from repro.core.rules import RuleThresholds, rule_based_choice
+from repro.core.rules import rule_based_choice
 from repro.features.extract import profile_from_coo
 from repro.features.profile import DatasetProfile
 from repro.formats.base import FORMAT_NAMES, MatrixFormat
@@ -62,8 +62,7 @@ class Decision:
     profile: DatasetProfile
     cached: bool = False
     #: Provenance of the chosen format: "analytic" (cost model / rules
-    #: / decision cache), "tuned" (persisted tuning cache), or "probe"
-    #: (measured on the spot).
+    #: / decision cache) or "probe" (measured on the spot).
     source: str = "analytic"
     #: Kernel-row block width the decision was made for.
     batch_k: int = 1
@@ -176,13 +175,8 @@ class LayoutScheduler:
         One of ``rules`` / ``cost`` / ``probe`` / ``hybrid``.
     calibration:
         Machine constants for the cost model.
-    thresholds:
-        Decision-list boundaries for the rules strategy.
     tuner:
         Probe configuration for the probe/hybrid strategies.
-    shortlist:
-        How many model-ranked candidates the hybrid strategy probes
-        when the model's margin is below :data:`BAND`.
     batch_k:
         Kernel-row block width the workload will run at (the tenth
         knob of the decision system).  ``1`` models classic per-vector
@@ -194,10 +188,10 @@ class LayoutScheduler:
         Optional decision cache, safe to share between schedulers of
         any strategy and candidate set.
     candidates:
-        The formats a decision may return, for every strategy and
-        every source (default: the paper's five, the ``paper``
-        family).  The model prices every candidate; the hybrid
-        strategy probes the model's ``shortlist`` cheapest.  A
+        The formats a decision may return, for every strategy
+        (default: the paper's five, the ``paper`` family).  The model
+        prices every candidate; the hybrid strategy probes the
+        model's two cheapest.  A
         restriction is how the serving layer pins decisions to its
         exact families and how ``repro bench sell`` adds "reorder +
         SELL" to the race; the rules strategy's decision list is fixed
@@ -209,9 +203,7 @@ class LayoutScheduler:
         strategy: str = "hybrid",
         *,
         calibration: Optional[ArchCalibration] = None,
-        thresholds: Optional[RuleThresholds] = None,
         tuner: Optional[AutoTuner] = None,
-        shortlist: int = 2,
         batch_k: int = 1,
         cache: Optional[DecisionCache] = None,
         candidates: Optional[Tuple[str, ...]] = None,
@@ -220,8 +212,6 @@ class LayoutScheduler:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if shortlist < 1:
-            raise ValueError("shortlist must be >= 1")
         if batch_k < 1:
             raise ValueError("batch_k must be >= 1")
         if candidates is None:
@@ -238,9 +228,7 @@ class LayoutScheduler:
                 )
         self.strategy = strategy
         self.cost_model = CostModel(calibration)
-        self.thresholds = thresholds or RuleThresholds()
         self.tuner = tuner or AutoTuner()
-        self.shortlist = shortlist
         self.batch_k = batch_k
         self.cache = cache if cache is not None else DecisionCache()
         self.candidates: Tuple[str, ...] = candidates
@@ -289,8 +277,8 @@ class LayoutScheduler:
         serving rescheduler).  Not audited: the caller records the
         decisions its own policy acts on (:meth:`Decision.record`).
         Strategies that must measure raise ``ValueError`` here: probe
-        always, hybrid when its shortlist has more than one format and
-        the model's margin is below :data:`BAND`.
+        always, hybrid when it has more than one candidate and the
+        model's margin is below :data:`BAND`.
         """
         return self._decide(profile, batch_k)
 
@@ -300,16 +288,8 @@ class LayoutScheduler:
         batch_k: int,
         coo: Optional[CooTriples] = None,
     ) -> Decision:
-        """The one place a profile becomes a format.
-
-        Sources, in order: a warm persisted tuning-cache key whose
-        format is a candidate (not memoised in the DecisionCache, so
-        its provenance stays visible — the tuning-cache lookup *is*
-        the memo), then this scheduler's DecisionCache entry, then the
-        configured strategy.
-        """
-        from repro.tune.cache import tuned_format
-
+        """The one place a profile becomes a format: this scheduler's
+        DecisionCache entry, else the configured strategy."""
         predicted = {
             fc.fmt: fc.cost
             for fc in self.cost_model.rank(
@@ -322,15 +302,6 @@ class LayoutScheduler:
             batch_k=batch_k,
             predicted=predicted,
         )
-        tuned = tuned_format(profile, batch_k=batch_k)
-        if tuned in self.candidates:
-            return Decision(
-                fmt=tuned,
-                reason="measured-best format from the persisted tuning cache",
-                cached=True,
-                source="tuned",
-                **common,
-            )
         cached = self.cache.get(profile, batch_k, self.cache_scope)
         if cached is not None:
             return Decision(
@@ -358,7 +329,7 @@ class LayoutScheduler:
         """The configured strategy; returns ``(fmt, reason, measured)``
         where ``measured`` holds the probe timings it took, if any."""
         if self.strategy == "rules":
-            rd = rule_based_choice(profile, self.thresholds)
+            rd = rule_based_choice(profile)
             return rd.fmt, f"rule '{rd.rule}': {rd.reason}", {}
         ranked = list(predicted.items())
         if self.strategy == "cost":
@@ -374,8 +345,8 @@ class LayoutScheduler:
             return fmt, reason, {}
         if self.strategy == "probe":
             short = list(self.candidates)
-        else:  # hybrid: the model's shortlist
-            short = [f for f, _ in ranked[: self.shortlist]]
+        else:  # hybrid: the model's two cheapest
+            short = [f for f, _ in ranked[:2]]
             if len(short) == 1:
                 return short[0], "cost model shortlist of one", {}
             (fmt, cost), (runner, runner_cost) = ranked[0], ranked[1]
@@ -409,60 +380,10 @@ class LayoutScheduler:
         return self.decide_from_coo(rows, cols, values, matrix.shape)
 
     # -- applying -------------------------------------------------------
-    def apply(
-        self,
-        matrix: MatrixFormat,
-        *,
-        iterations_hint: Optional[int] = None,
-    ) -> Tuple[MatrixFormat, Decision]:
-        """Decide and convert; returns ``(matrix_in_best_format, why)``.
-
-        Parameters
-        ----------
-        iterations_hint:
-            Expected SMO iteration count for the upcoming training run.
-            When given, the conversion is performed only if the cost
-            model says the per-iteration savings amortise the one-off
-            conversion cost over that many iterations (2 SMSVs each) —
-            the accounting that keeps *runtime* scheduling net-positive
-            even for very short runs.  ``None`` (default) always
-            converts, matching the paper's setting where training runs
-            thousands of iterations.
-        """
+    def apply(self, matrix: MatrixFormat) -> Tuple[MatrixFormat, Decision]:
+        """Decide and convert; returns ``(matrix_in_best_format, why)``."""
         decision = self.decide(matrix)
-        hint_applicable = (
-            iterations_hint is not None and decision.fmt != matrix.name
-        )
-        if hint_applicable and not self.cost_model.worthwhile(
-            decision.profile,
-            matrix.name,
-            decision.fmt,
-            iterations_hint,
-            batch_k=self.batch_k,
-        ):
-            decision = replace(
-                decision,
-                fmt=matrix.name,
-                reason=(
-                    f"{decision.fmt} predicted fastest, but converting "
-                    f"from {matrix.name} would not amortise over "
-                    f"{iterations_hint} iterations; staying put"
-                ),
-            )
-            return matrix, decision
         return convert(matrix, decision.fmt), decision
-
-    def apply_coo(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        shape: Tuple[int, int],
-    ) -> Tuple[MatrixFormat, Decision]:
-        """Decide from triples and build the chosen format directly."""
-        decision = self.decide_from_coo(rows, cols, values, shape)
-        cls = format_class(decision.fmt)
-        return cls.from_coo(rows, cols, values, shape), decision
 
 
 def schedule_layout(

@@ -2,9 +2,8 @@
 
 All conversions route through canonical COO triples, so any pair of
 formats round-trips exactly (a hypothesis-tested invariant).  Conversion
-cost is O(nnz log nnz) for the sort plus the target format's build cost;
-the scheduler accounts for it via
-:meth:`repro.core.cost_model.CostModel.conversion_cost`.
+cost is O(nnz log nnz) for the sort plus the target format's build cost,
+which ``AdaptiveSVC.convert_seconds_`` reports alongside each fit.
 """
 
 from __future__ import annotations

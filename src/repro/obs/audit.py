@@ -78,9 +78,10 @@ class DecisionRecord:
     predicted: Dict[str, float] = field(default_factory=dict)
     measured: Dict[str, float] = field(default_factory=dict)
     #: Where the chosen format came from: "analytic" (cost model /
-    #: rules), "tuned" (persisted tuning cache warm key), or "probe"
-    #: (measured on the spot).  Lets the regret report separate the
-    #: model's mistakes from the tuning cache's.
+    #: rules) or "probe" (measured on the spot).  Lets the regret
+    #: report separate the model's mistakes from the probe's.  Logs
+    #: written by older versions may carry other values; they load and
+    #: group like any other.
     decision_source: str = "analytic"
 
     @property
@@ -228,12 +229,12 @@ def regret_by_decision_source(
 
     Each record contributes ``penalty(chosen)``: what the format the
     decision actually chose cost over the measured best.  (The table's
-    per-row regret prices the *model's* pick; a tuned or probed
-    decision can choose something else, and this split judges that
-    choice.)  Returns ``{decision_source: {"n", "n_with_regret",
-    "mean_regret", "max_regret"}}`` — the comparison the tuning cache
-    has to win: if ``tuned`` decisions carry more regret than
-    ``analytic`` ones, the cache is hurting and should be reset.
+    per-row regret prices the *model's* pick; a probed decision can
+    choose something else, and this split judges that choice.)
+    Returns ``{decision_source: {"n", "n_with_regret", "mean_regret",
+    "max_regret"}}`` — the comparison the probe has to win: if
+    ``probe`` decisions carry more regret than ``analytic`` ones, the
+    probe is measuring too little to be trusted.
     """
     out: Dict[str, Dict[str, Any]] = {}
     for src in sorted({r.decision_source for r in records}):

@@ -5,10 +5,7 @@ family of synthetic shapes: for each dataset the scheduler's ``cost``
 strategy decides (its record carries the analytic model's per-format
 *prediction*) and the autotuner *measures* every format, and the gap
 between the model's pick and the measured winner is the model's
-**regret** on that shape (see :mod:`repro.obs.audit`).  The decision
-is the one any caller gets — a warm tuning-cache key wins, and the
-record says so — but the prediction and the measurement do not depend
-on it.
+**regret** on that shape (see :mod:`repro.obs.audit`).
 
 The suite spans the structures the nine parameters are supposed to
 discriminate:
@@ -129,8 +126,8 @@ def run_report(
             rows, cols, values, shape = build(m, n, seed)
             profile = profile_from_coo(rows, cols, shape, validated=True)
             decision = scheduler.decide_profile(profile, batch_k=batch_k)
-            # Every format, whatever was chosen: the report measures on
-            # purpose, so a warm tuning cache cannot narrow it.
+            # Every format, whatever was chosen: the regret is judged
+            # against the whole registry.
             results = tuner.probe(rows, cols, values, shape, FORMAT_NAMES)
             measured = {r.fmt: r.median_seconds for r in results}
             records.append(
@@ -200,7 +197,7 @@ def render_report(records: List[DecisionRecord]) -> str:
     by_src = payload["by_decision_source"]
     if len(by_src) > 1:
         # Worth a breakdown only when decisions actually came from more
-        # than one place (analytic vs tuned vs probe).  Each line prices
+        # than one place (analytic vs probe).  Each line prices
         # the format chosen, not the model's pick.
         for src, agg in by_src.items():
             if agg["mean_regret"] is None:

@@ -43,7 +43,6 @@ from repro.serve.loadgen import (
     replay_unbatched,
 )
 from repro.serve.metrics import LatencySummary, ServeMetrics, summarise_latencies
-from repro.serve.registry import ModelRegistry
 from repro.serve.rescheduler import (
     BatchSizeHistogram,
     FormatRescheduler,
@@ -88,7 +87,6 @@ __all__ = [
     "MicroBatcher",
     "ModelHandle",
     "ModelPublication",
-    "ModelRegistry",
     "PairSlice",
     "ProcessShard",
     "RebalanceEvent",

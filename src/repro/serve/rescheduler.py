@@ -14,12 +14,11 @@ The rescheduler is policy only: *when* to re-decide (check cadence),
 *at what width* (the histogram) and *whether the win is worth a swap*
 (``min_gain`` hysteresis).  *What* format wins is one profile-level
 :meth:`~repro.core.scheduler.LayoutScheduler.decide_profile` call —
-the same tuning-cache / decision-cache / strategy path every
-training-time decision takes — and the hysteresis reads its costs from
-the returned decision.  Candidates default to
-:data:`~repro.serve.engine.EXACT_SERVE_FORMATS` so a swap can never
-perturb predictions; the matrix profile is format-invariant and cached
-once.
+the same decision-cache / strategy path every training-time decision
+takes — and the hysteresis reads its costs from the returned decision.
+Candidates default to :data:`~repro.serve.engine.EXACT_SERVE_FORMATS`
+so a swap can never perturb predictions; the matrix profile is
+format-invariant and cached once.
 """
 
 from __future__ import annotations
@@ -137,20 +136,15 @@ class FormatRescheduler:
         """The format to start serving in.
 
         Decided at ``batch_k=1``: the traffic's width is unknown until
-        the histogram has seen ``check_every`` batches.  A warm-up pick
-        from the persisted tuning cache's format entry is audited like
-        a flip so `repro obs report` can split regret by source; an
-        analytic warm-up is not a runtime decision and leaves no
-        record.
+        the histogram has seen ``check_every`` batches.  The warm-up is
+        not a runtime decision and leaves no audit record; only flips
+        do.
         """
         with self._lock:
             self._profile = extract_profile(matrix)
-            decision = self.scheduler.decide_profile(
+            return self.scheduler.decide_profile(
                 self._profile, batch_k=1
-            )
-            if decision.source == "tuned":
-                audit_log().record(decision.record("serve"))
-            return decision.fmt
+            ).fmt
 
     # -- the runtime loop ------------------------------------------------
     def after_batch(

@@ -15,7 +15,6 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.scheduler import Decision, LayoutScheduler
-from repro.formats.base import MatrixFormat
 from repro.perf.counters import OpCounter
 from repro.svm.kernels import Kernel
 from repro.svm.svc import SVC, MatrixLike, _as_matrix
@@ -55,7 +54,6 @@ class AdaptiveSVC(SVC):
         shrink_every: int = 0,
         fuse_rows: bool = True,
         scheduler: Optional[LayoutScheduler] = None,
-        iterations_hint: Optional[int] = None,
         **kernel_params: float,
     ) -> None:
         super().__init__(
@@ -71,9 +69,6 @@ class AdaptiveSVC(SVC):
             **kernel_params,
         )
         self.scheduler = scheduler or LayoutScheduler("hybrid")
-        #: expected SMO iterations, used to amortise the conversion
-        #: cost (None = always convert; see LayoutScheduler.apply).
-        self.iterations_hint = iterations_hint
         self.decision_: Optional[Decision] = None
         self.convert_seconds_: float = 0.0
 
@@ -86,9 +81,7 @@ class AdaptiveSVC(SVC):
     ) -> "AdaptiveSVC":
         matrix = _as_matrix(X)
         t0 = time.perf_counter()
-        matrix, decision = self.scheduler.apply(
-            matrix, iterations_hint=self.iterations_hint
-        )
+        matrix, decision = self.scheduler.apply(matrix)
         self.convert_seconds_ = time.perf_counter() - t0
         self.decision_ = decision
         super().fit(matrix, y, counter=counter)

@@ -3,8 +3,9 @@
 Three knob families are tuned — the SELL slice height
 (``sell_chunk``), the reorder window (``sigma``) and the SMO
 kernel-row cache budget (``row_cache_mb``) — each timed on the code
-that reads it, plus the measured-best storage format per profile
-bucket.  The subsystem has four layers (see ``docs/tuning.md``):
+that reads it.  The storage format is not tuned here: the layout
+scheduler decides it from each matrix's own profile.  The subsystem
+has four layers (see ``docs/tuning.md``):
 
 =================  ====================================================
 ``space``          declarative knob catalogue (one knob per family:
@@ -31,7 +32,6 @@ from typing import Any
 _EXPORTS = {
     "Knob": "repro.tune.space",
     "KNOB_FAMILIES": "repro.tune.space",
-    "FORMAT_FAMILY": "repro.tune.space",
     "KNOBS": "repro.tune.space",
     "knob_for": "repro.tune.space",
     "machine_fingerprint": "repro.tune.fingerprint",
@@ -43,7 +43,6 @@ _EXPORTS = {
     "tuning_enabled": "repro.tune.cache",
     "default_cache_path": "repro.tune.cache",
     "tuned_value": "repro.tune.cache",
-    "tuned_format": "repro.tune.cache",
     "ProbeContext": "repro.tune.search",
     "TuneSearch": "repro.tune.search",
     "FamilyResult": "repro.tune.search",

@@ -48,7 +48,7 @@ from repro.tune.fingerprint import (
     machine_fingerprint,
     profile_bucket,
 )
-from repro.tune.space import KNOBS
+from repro.tune.space import KNOBS, knob_for
 
 #: Bump when the entry layout changes; older files fall back cleanly.
 SCHEMA_VERSION = 1
@@ -81,8 +81,10 @@ def entry_key(fp_hash: str, bucket: str, family: str) -> str:
 
 
 def _valid_entry(family: str, payload: Any) -> bool:
-    """Schema check for one entry: params must satisfy the family's
-    knob (the pseudo-family ``format`` carries a format name)."""
+    """Schema check for one loaded entry: params must satisfy the
+    family's knob.  A family outside :data:`KNOBS` (a retired knob, an
+    older file's ``format`` entry) passes with any string-keyed
+    str/int params, so the entry survives the next save unread."""
     if not isinstance(payload, dict):
         return False
     params = payload.get("params")
@@ -94,8 +96,6 @@ def _valid_entry(family: str, payload: Any) -> bool:
         except (ValueError, TypeError):
             return False
         return True
-    # Pseudo-families (the scheduler's format entry): a non-empty
-    # string value per param is all the schema demands.
     return all(
         isinstance(k, str) and isinstance(v, (str, int)) for k, v in params.items()
     )
@@ -240,10 +240,12 @@ class TuneCache:
     ) -> str:
         """Store one tuned entry (and by default persist the file).
 
-        Returns the flat key written.  ``params`` are validated against
-        the family's knob before anything is stored, so an impossible
-        configuration can never be persisted.
+        Returns the flat key written.  ``family`` must be a knob family
+        and ``params`` must satisfy its knob; anything else raises
+        ``ValueError`` before anything is stored, so neither a typo nor
+        an impossible configuration can be persisted.
         """
+        knob_for(family)  # raises ValueError on an unknown family
         payload: Dict[str, Any] = {"params": dict(params)}
         if stats:
             payload.update({k: stats[k] for k in sorted(stats)})
@@ -358,28 +360,3 @@ def tuned_for_lengths(
     return tuned_value(
         family, profile_from_lengths(row_lengths, shape), default=default
     )
-
-
-def tuned_format(
-    profile: DatasetProfile, *, batch_k: int = 1
-) -> Optional[str]:
-    """The measured-best storage format for this profile bucket.
-
-    Only entries recorded at the same ``batch_k`` apply (the winner
-    legitimately moves with the sweep width); anything else is a cold
-    key and the caller prices analytically.
-    """
-    if not tuning_enabled():
-        return None
-    from repro.tune.space import FORMAT_FAMILY
-
-    cache = tune_cache()
-    if not cache.has_family(FORMAT_FAMILY):
-        return None
-    params = cache.get_params(FORMAT_FAMILY, profile)
-    if params is None:
-        return None
-    if int(params.get("batch_k", 1)) != int(batch_k):
-        return None
-    fmt = params.get("fmt")
-    return str(fmt).upper() if fmt else None

@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.autotune import AutoTuner
-from repro.core.cost_model import ANALYTIC_FORMATS
 from repro.features.extract import profile_from_coo
 from repro.features.profile import DatasetProfile
 from repro.formats.csr import CSRMatrix
@@ -48,7 +47,7 @@ from repro.perf.timers import benchmark
 from repro.svm.smo import _RowCache
 from repro.tune.cache import TuneCache
 from repro.tune.fingerprint import profile_bucket
-from repro.tune.space import FORMAT_FAMILY, Config, knob_for
+from repro.tune.space import Config, knob_for
 
 #: A measurer times one configuration at a given repeat count and
 #: returns the median seconds per probe operation.
@@ -120,6 +119,11 @@ class ProbeContext:
     without replacement), builds the CSR baseline once, and fixes the
     probe row ids every measurer shares — so two configurations always
     race on identical work.
+
+    Every measurement runs on the sample, but :attr:`profile` is the
+    full matrix's: it keys the cache entries and conditions each
+    family's incumbent default, so a later run on the same dataset
+    looks its entries up under the bucket they were written to.
     """
 
     def __init__(
@@ -143,7 +147,7 @@ class ProbeContext:
         self.shape = sshape
         self.seed = seed
         self.profile: DatasetProfile = profile_from_coo(
-            srows, scols, sshape
+            np.asarray(rows), np.asarray(cols), shape
         )
         self.csr = CSRMatrix.from_coo(srows, scols, svalues, sshape)
         m = sshape[0]
@@ -371,19 +375,15 @@ def tune_datasets(
 ) -> Dict[str, Dict[str, object]]:
     """Search each ``(name, rows, cols, values, shape)`` and persist.
 
-    Every family winner goes into ``cache`` under the dataset's
-    profile bucket, then the measured-best storage format over
-    ``ANALYTIC_FORMATS`` goes in as the :data:`FORMAT_FAMILY` entry at
-    batch width 1 — the entry the scheduler's warm path reads in place
-    of analytic pricing.  ``search_kwargs`` go to each dataset's fresh
-    :class:`TuneSearch` (a fresh one, since its measurement memo must
-    not leak across datasets).
+    Every family winner goes into ``cache`` under the full dataset's
+    profile bucket (measured on its row sample; see
+    :class:`ProbeContext`).  ``search_kwargs`` go to each dataset's
+    fresh :class:`TuneSearch` (a fresh one, since its measurement memo
+    must not leak across datasets).
 
-    Returns ``{name: {"bucket", "format", "families", "budget_spent"}}``
-    with ``families`` mapping each tuned family to its
-    :class:`FamilyResult`.
+    Returns ``{name: {"bucket", "families", "budget_spent"}}`` with
+    ``families`` mapping each tuned family to its :class:`FamilyResult`.
     """
-    tuner = AutoTuner(repeats=search_kwargs.get("base_repeats", 3), seed=seed)
     out: Dict[str, Dict[str, object]] = {}
     for name, rows, cols, values, shape in datasets:
         ctx = ProbeContext(rows, cols, values, shape, seed=seed)
@@ -400,16 +400,8 @@ def tune_datasets(
                     "fidelity": r.fidelity,
                 },
             )
-        probed = tuner.probe(rows, cols, values, shape, ANALYTIC_FORMATS)
-        cache.put(
-            FORMAT_FAMILY,
-            {"fmt": probed[0].fmt, "batch_k": 1},
-            profile=ctx.profile,
-            stats={"median_seconds": probed[0].median_seconds},
-        )
         out[name] = {
             "bucket": profile_bucket(ctx.profile),
-            "format": probed[0].fmt,
             "families": results,
             "budget_spent": search.spent,
         }

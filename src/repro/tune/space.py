@@ -34,12 +34,6 @@ Config = Dict[str, int]
 #: Canonical family names, in catalogue order.
 KNOB_FAMILIES: Tuple[str, ...] = ("sell_chunk", "sigma", "row_cache_mb")
 
-#: The pseudo-family under which the measured-best storage format is
-#: cached.  Not a knob (nothing numeric to sweep — the autotuner's
-#: probe decides it), but it shares the cache key scheme so the
-#: scheduler's warm path is one lookup.
-FORMAT_FAMILY = "format"
-
 
 @dataclass(frozen=True)
 class Knob:

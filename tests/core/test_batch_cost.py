@@ -57,26 +57,6 @@ class TestBatchedCost:
         assert sorted(c.fmt for c in ranked) == sorted(FORMAT_NAMES)
         assert ranked == sorted(ranked)
 
-    def test_worthwhile_batched_fewer_sweeps(self, profile):
-        # With batch_k=2, an iteration pays one sweep instead of two —
-        # the amortised saving per iteration shrinks, so a conversion
-        # that barely paid at batch_k=1 may no longer pay.
-        model = CostModel()
-        iters_where_it_flips = None
-        for iters in (1, 10, 100, 1000, 10000):
-            single = model.worthwhile(
-                profile, "ELL", "CSR", iterations=iters
-            )
-            batched = model.worthwhile(
-                profile, "ELL", "CSR", iterations=iters, batch_k=2
-            )
-            if single != batched:
-                iters_where_it_flips = iters
-                assert single and not batched
-        # Monotonicity sanity: batching never makes conversion *more*
-        # attractive (it can only reduce per-iteration savings).
-        del iters_where_it_flips
-
 
 class TestDecisionCacheBatchKey:
     def test_key_carries_batch_k(self, profile):

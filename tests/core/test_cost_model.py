@@ -100,24 +100,6 @@ class TestRanking:
         assert cm.best(profile_from_dense(np.ones((64, 64)))) == "DEN"
 
 
-class TestConversionAccounting:
-    def test_worthwhile_for_long_runs(self, cm):
-        p = profile()
-        best = cm.best(p)
-        worst = cm.rank(p)[-1].fmt
-        assert cm.worthwhile(p, worst, best, iterations=10_000)
-
-    def test_not_worthwhile_for_zero_iterations(self, cm):
-        p = profile()
-        best = cm.best(p)
-        worst = cm.rank(p)[-1].fmt
-        assert not cm.worthwhile(p, worst, best, iterations=0)
-
-    def test_negative_iterations_rejected(self, cm):
-        with pytest.raises(ValueError):
-            cm.worthwhile(profile(), "CSR", "COO", iterations=-1)
-
-
 class TestCalibration:
     def test_simd_width_override(self):
         cal = ArchCalibration().with_simd_width(16)

@@ -48,8 +48,8 @@ class TestExtendedCandidates:
 def test_decision_stays_inside_candidates(strategy, candidates, small_sparse):
     """``candidates`` bounds every strategy: the rules strategy refuses
     any restriction, the others decide inside it, the model prices
-    exactly the set and the hybrid probes exactly its shortlist, unless
-    the model's margin reaches ``BAND`` and it probes nothing."""
+    exactly the set and the hybrid probes exactly its two cheapest,
+    unless the model's margin reaches ``BAND`` and it probes nothing."""
     if strategy == "rules":
         with pytest.raises(ValueError):
             LayoutScheduler(strategy, candidates=candidates)
@@ -70,7 +70,7 @@ def test_decision_stays_inside_candidates(strategy, candidates, small_sparse):
             assert f"band {BAND}x" in d.reason
             assert d.fmt == list(d.predicted)[0]
         else:
-            assert set(d.measured) == set(list(d.predicted)[: sched.shortlist])
+            assert set(d.measured) == set(list(d.predicted)[:2])
 
 
 class TestHybridBand:
@@ -111,7 +111,7 @@ class TestHybridBand:
         costs = list(d.predicted.values())
         assert costs[1] < BAND * costs[0]
         assert len(calls) == 1
-        assert set(d.measured) == set(list(d.predicted)[: sched.shortlist])
+        assert set(d.measured) == set(list(d.predicted)[:2])
         assert d.source == "probe"
         assert f"< band {BAND}x" in d.reason
 

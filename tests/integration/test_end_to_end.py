@@ -32,7 +32,8 @@ class TestSVMPipeline:
             path, n_features=ds.shape[1]
         )
         sched = LayoutScheduler("cost")
-        X, decision = sched.apply_coo(rows, cols, vals, shape)
+        decision = sched.decide_from_coo(rows, cols, vals, shape)
+        X = format_class(decision.fmt).from_coo(rows, cols, vals, shape)
         assert decision.fmt == X.name
         clf = SVC("linear", C=1.0, max_iter=2000).fit(X, y)
         assert clf.score(X, y) > 0.9

@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.features.extract import profile_from_coo
 from repro.formats.base import FORMAT_NAMES
 from repro.obs.report import (
     REPORT_DATASET_NAMES,
-    REPORT_DATASETS,
     render_report,
     report_payload,
     run_report,
 )
-from repro.tune.cache import reset_tune_cache, tune_cache
-from repro.tune.space import FORMAT_FAMILY
 
 
 @pytest.fixture(scope="module")
@@ -52,39 +48,6 @@ class TestRunReport:
         assert dense.predicted_best == "DEN"
         assert dense.measured_best == "DEN"
         assert dense.regret() == 0.0
-
-
-class TestWarmTuningCache:
-    def test_tuned_pick_leaves_prediction_and_measurement(
-        self, quick_records, tmp_path, monkeypatch
-    ):
-        """A warm key changes only what the scheduler chose and why:
-        the row still carries the model's full prediction and a
-        measurement of every format."""
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
-        reset_tune_cache()
-        cold = quick_records[0]
-        name, build = REPORT_DATASETS[0]
-        rows, cols, _values, shape = build(256, 128, 0)
-        forced = next(f for f in FORMAT_NAMES if f != cold.predicted_best)
-        try:
-            tune_cache().put(
-                FORMAT_FAMILY,
-                {"fmt": forced.lower(), "batch_k": 1},
-                profile=profile_from_coo(rows, cols, shape),
-            )
-            warm = run_report(quick=True, repeats=1, seed=0)
-        finally:
-            reset_tune_cache()
-        row = warm[0]
-        assert row.dataset == cold.dataset == name
-        assert row.decision_source == "tuned"
-        assert row.chosen == forced
-        assert list(row.predicted.items()) == list(cold.predicted.items())
-        assert set(row.measured) == set(FORMAT_NAMES)
-        assert row.regret() is not None  # the model's pick is measured
-        text = render_report(warm)
-        assert "via tuned" in text
 
 
 class TestReportPayload:

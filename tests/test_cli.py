@@ -177,50 +177,20 @@ class TestExplain:
         assert "banded" in text  # the rule that fires for trefethen
         assert "DIA" in text
 
-    def test_explain_renders_the_tuned_decision(
-        self, libsvm_file, tmp_path, monkeypatch, capsys
-    ):
-        # A warm tuning-cache key forces the format the cost model
-        # ranks last; the explanation must describe that decision,
-        # not the model's own pick.
-        from repro.core import LayoutScheduler
-        from repro.data import read_libsvm
-        from repro.features.extract import profile_from_coo
-        from repro.tune.cache import reset_tune_cache, tune_cache
-        from repro.tune.space import FORMAT_FAMILY
+    def test_explain_renders_the_probed_decision(self):
+        # The explanation shows the decision that was made, measurements
+        # included, not a fresh ranking of its profile.
+        from repro.core import AutoTuner, LayoutScheduler, explain
+        from repro.data.synthetic import uniform_rows_matrix
 
-        path, n = libsvm_file
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
-        reset_tune_cache()
-        try:
-            (rows, cols, vals, shape), _y = read_libsvm(path, n_features=n)
-            cold = LayoutScheduler("cost").decide_from_coo(
-                rows, cols, vals, shape
-            )
-            forced = list(cold.predicted)[-1]
-            assert forced != cold.fmt
-            tune_cache().put(
-                FORMAT_FAMILY,
-                {"fmt": forced.lower(), "batch_k": 1},
-                profile=profile_from_coo(rows, cols, shape),
-            )
-            capsys.readouterr()
-            assert (
-                main(
-                    [
-                        "schedule", path, "--n-features", str(n),
-                        "--strategy", "cost", "--explain",
-                    ]
-                )
-                == 0
-            )
-        finally:
-            reset_tune_cache()
-        out = capsys.readouterr().out
-        assert f"format   : {forced}" in out
-        explanation = out.split("\n\n", 1)[1]
-        assert "source tuned" in explanation
-        assert explanation.rstrip().splitlines()[-1] == f"-> {forced}"
+        coo = uniform_rows_matrix(200, 80, 6, seed=7)
+        d = LayoutScheduler(
+            "probe", tuner=AutoTuner(repeats=1, smsv_per_probe=1)
+        ).decide_from_coo(*coo)
+        text = explain(d)
+        assert "source probe" in text
+        assert "probe, measured seconds" in text
+        assert text.rstrip().splitlines()[-1] == f"-> {d.fmt}"
 
 
 class TestTuneCLI:
@@ -234,7 +204,7 @@ class TestTuneCLI:
         yield path
         reset_tune_cache()
 
-    def test_tune_dataset_persists_families_and_format(
+    def test_tune_dataset_persists_only_knob_families(
         self, libsvm_file, _cache, capsys
     ):
         import json
@@ -252,12 +222,12 @@ class TestTuneCLI:
         assert payload["cache"] == str(_cache)
         result = payload["datasets"][path]
         assert set(result["families"]) == {"sell_chunk", "sigma"}
-        assert result["format"]
+        assert "format" not in result
         for r in result["families"].values():
             assert r["best_seconds"] <= r["default_seconds"]
         doc = json.loads(_cache.read_text())
         families = {key.rsplit("|", 1)[1] for key in doc["entries"]}
-        assert families == {"sell_chunk", "sigma", "format"}
+        assert families == {"sell_chunk", "sigma"}
 
     def test_tune_rejects_a_retired_family(self, _cache, capsys):
         assert main(["tune", "--families", "workers"]) == 2

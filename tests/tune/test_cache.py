@@ -7,6 +7,7 @@ may cost performance, never correctness and never a traceback.
 
 import json
 import threading
+import warnings
 
 import pytest
 
@@ -18,11 +19,9 @@ from repro.tune.cache import (
     entry_key,
     reset_tune_cache,
     tune_cache,
-    tuned_format,
     tuned_value,
     tuning_enabled,
 )
-from repro.tune.space import FORMAT_FAMILY
 
 
 def _profile(**over):
@@ -72,6 +71,26 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="invalid tuned entry"):
             # not a candidate value
             cache.put("sell_chunk", {"chunk": 3}, profile=_profile())
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("sell_chunks", {"chunk": 16}),  # a typo
+            ("workers", {"workers": 3}),  # a retired knob family
+            ("format", {"fmt": "DIA", "batch_k": 1}),  # no longer tuned
+        ],
+    )
+    def test_put_rejects_unknown_families(self, cache_path, family, params):
+        cache = TuneCache(cache_path)
+        with pytest.raises(ValueError, match="unknown knob family"):
+            cache.put(family, params, profile=_profile())
+        assert not cache_path.exists()
+        cache.put("sell_chunk", {"chunk": 16}, profile=_profile())
+        written = cache_path.read_text()
+        with pytest.raises(ValueError, match="unknown knob family"):
+            cache.put(family, params, profile=_profile())
+        assert cache_path.read_text() == written
+        assert len(cache) == 1
 
     def test_atomic_write_leaves_no_temp_files(self, cache_path):
         cache = TuneCache(cache_path)
@@ -138,6 +157,33 @@ class TestCorruption:
         # ... but the entry itself is preserved in the file
         assert len(ours.entries()) == 1
 
+    def test_unknown_families_load_silently_and_survive_saves(
+        self, cache_path
+    ):
+        cache = TuneCache(cache_path)
+        cache.put("sell_chunk", {"chunk": 16}, profile=_profile())
+        doc = json.loads(cache_path.read_text())
+        foreign = {
+            entry_key(cache.fp_hash, "b", "format"): {
+                "params": {"fmt": "DIA", "batch_k": 1}
+            },
+            entry_key(cache.fp_hash, "machine", "workers"): {
+                "params": {"workers": 16}
+            },
+        }
+        doc["entries"].update(foreign)
+        cache_path.write_text(json.dumps(doc))
+        fresh = TuneCache(cache_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fresh.get_params("sell_chunk", _profile()) == {
+                "chunk": 16
+            }
+            assert len(fresh) == 3
+        fresh.put("sigma", {"sigma": 64}, profile=_profile())
+        kept = json.loads(cache_path.read_text())["entries"]
+        assert all(kept[k] == v for k, v in foreign.items())
+
     def test_concurrent_writers_keep_the_file_valid(self, cache_path):
         cache = TuneCache(cache_path)
         chunks = (2, 4, 8, 16, 32, 64)
@@ -196,14 +242,3 @@ class TestHelpers:
     def test_tuned_value_cold_default(self, cache_path):
         assert tuned_value("sigma", _profile(), default=0) == 0
         assert tuned_value("sigma", _profile()) is None
-
-    def test_tuned_format_requires_matching_batch_k(self, cache_path):
-        tune_cache().put(
-            FORMAT_FAMILY,
-            {"fmt": "ell", "batch_k": 2},
-            profile=_profile(),
-        )
-        assert tuned_format(_profile(), batch_k=2) == "ELL"
-        assert tuned_format(_profile(), batch_k=1) is None
-        cold = _profile(m=7, nnz=56, adim=8.0, density=56 / (7 * 500))
-        assert tuned_format(cold, batch_k=2) is None  # cold bucket

@@ -2,14 +2,14 @@
 
 Two contracts under test:
 
-1. **Provenance** — a warm tuning-cache key flips the scheduler's (and
-   the serving warm-up's) decision source to ``"tuned"`` and nothing
-   else: cold keys, kill-switch runs, candidate-set violations and
-   batch-width mismatches all fall back to the analytic path,
-   unchanged.
+1. **The layout is the scheduler's decision** — no cache entry picks
+   a storage format: an older file's ``format`` entry, a cache that
+   ``repro tune`` warmed and a kill-switch run all decide alike, at
+   training time and at the serving warm-up.
 2. **Value preservation** — every knob the cache feeds (SELL slice
-   height, reorder window, SVM row-cache budget) only moves *time*.  Warm-cache outputs must be
-   bitwise identical to kill-switch outputs.
+   height, reorder window, SVM row-cache budget) only moves *time*.
+   Warm-cache outputs must be bitwise identical to kill-switch
+   outputs.
 """
 
 import json
@@ -19,8 +19,10 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.autotune import AutoTuner
 from repro.core.cost_model import ANALYTIC_FORMATS
 from repro.core.scheduler import LayoutScheduler
+from repro.data import load_dataset
 from repro.data.synthetic import uniform_rows_matrix
 from repro.features.extract import profile_from_coo
 from repro.formats.convert import convert
@@ -42,12 +44,12 @@ from repro.tune.cache import (
     entry_key,
     reset_tune_cache,
     tune_cache,
-    tuned_format,
+    tuned_for_lengths,
     tuned_value,
 )
 from repro.tune.fingerprint import profile_bucket
-from repro.tune.search import tune_datasets
-from repro.tune.space import FORMAT_FAMILY, knob_for, row_cache_default_mb
+from repro.tune.search import ProbeContext, tune_datasets
+from repro.tune.space import KNOB_FAMILIES, knob_for, row_cache_default_mb
 
 
 @pytest.fixture
@@ -66,26 +68,24 @@ def _coo(seed=7, m=200, n=80, per_row=6):
 
 
 def _warm_format(profile, fmt="ell", batch_k=1):
-    tune_cache().put(
-        FORMAT_FAMILY,
-        {"fmt": fmt, "batch_k": batch_k},
-        profile=profile,
-    )
+    """Write the ``format`` entry older versions of ``repro tune``
+    persisted straight into the file (``put`` refuses the family)."""
+    cache = tune_cache()
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "fingerprint": cache.fingerprint,
+        "fingerprint_hash": cache.fp_hash,
+        "entries": {
+            entry_key(cache.fp_hash, profile_bucket(profile), "format"): {
+                "params": {"fmt": fmt, "batch_k": batch_k}
+            }
+        },
+    }
+    cache.path.write_text(json.dumps(doc))
+    reset_tune_cache()
 
 
 class TestSchedulerWiring:
-    def test_warm_key_decides_with_tuned_provenance(self, cache_path):
-        rows, cols, vals, shape = _coo()
-        _warm_format(profile_from_coo(rows, cols, shape), fmt="ell")
-        sched = LayoutScheduler("cost", candidates=ANALYTIC_FORMATS)
-        d = sched.decide_from_coo(rows, cols, vals, shape)
-        assert d.fmt == "ELL"
-        assert d.source == "tuned"
-        assert d.cached
-        rec = audit_log().records()[-1]
-        assert rec.decision_source == "tuned"
-        assert rec.chosen == "ELL"
-
     def test_cold_key_stays_analytic(self, cache_path):
         rows, cols, vals, shape = _coo()
         d = LayoutScheduler("cost").decide_from_coo(rows, cols, vals, shape)
@@ -125,7 +125,8 @@ class TestSchedulerWiring:
             ).decide_from_coo(rows, cols, vals, shape)
 
         a, b = decide(), decide()
-        assert (a.fmt, a.source) == (b.fmt, b.source) == ("SELL", "tuned")
+        assert (a.fmt, a.reason) == (b.fmt, b.reason)
+        assert a.source == b.source == "analytic"
 
     def test_default_candidate_universe_excludes_sell(self, cache_path):
         # A warm SELL key must not leak into a scheduler whose default
@@ -135,17 +136,6 @@ class TestSchedulerWiring:
         d = LayoutScheduler("cost").decide_from_coo(rows, cols, vals, shape)
         assert d.source == "analytic"
         assert d.fmt != "SELL"
-
-    def test_tuned_path_not_memoised_in_decision_cache(self, cache_path):
-        # Provenance contract: the tuning-cache lookup *is* the memo.
-        # Re-routing it through the DecisionCache would re-label later
-        # hits "analytic".
-        rows, cols, vals, shape = _coo()
-        profile = profile_from_coo(rows, cols, shape)
-        _warm_format(profile, fmt="ell")
-        sched = LayoutScheduler("cost")
-        sched.decide_from_coo(rows, cols, vals, shape)
-        assert sched.cache.get(profile, sched.batch_k, sched.cache_scope) is None
 
 
 class TestTuneGate:
@@ -173,8 +163,9 @@ class TestTuneGate:
                 assert r.best_seconds <= r.default_seconds, (name, family)
 
         def decide_all():
-            # Fresh scheduler, empty DecisionCache: every warm answer
-            # must come from the persisted tuning cache.
+            # Fresh scheduler, empty DecisionCache: the warm knob
+            # entries may move the model's SELL prices, never the
+            # source of a decision.
             sched = LayoutScheduler("cost", candidates=ANALYTIC_FORMATS)
             return [
                 (d.fmt, d.source)
@@ -186,12 +177,7 @@ class TestTuneGate:
 
         first = decide_all()
         assert decide_all() == first
-        assert [src for _, src in first] == ["tuned"] * len(datasets)
-        sched = LayoutScheduler("cost", candidates=ANALYTIC_FORMATS)
-        _, rows, cols, _vals, shape = datasets[0]
-        profile = profile_from_coo(rows, cols, shape)
-        for _ in range(3):
-            assert sched.decide_profile(profile, batch_k=1).source == "tuned"
+        assert {src for _, src in first} == {"analytic"}
 
         # A bucket the search never visited (m an order of magnitude
         # below every suite dataset) decides analytically, and picks
@@ -207,21 +193,73 @@ class TestTuneGate:
         assert cold.source == "analytic"
         assert cold.fmt == disabled.fmt
 
+    def test_entries_are_keyed_on_the_full_dataset(self, cache_path):
+        # The search measures on a 2,048-row sample of a 4,096-row
+        # matrix, but the entry answers the matrix itself: the bucket
+        # a later build of the full dataset looks up.
+        rows, cols, vals, shape = uniform_rows_matrix(4096, 64, 4, seed=3)
+        tuned = tune_datasets(
+            [("big", rows, cols, vals, shape)],
+            ("sell_chunk",),
+            cache=tune_cache(),
+            base_repeats=1,
+            max_repeats=2,
+            budget=8,
+        )
+        best = tuned["big"]["families"]["sell_chunk"].best["chunk"]
+        lengths = np.bincount(rows, minlength=shape[0])
+        assert tuned_for_lengths("sell_chunk", lengths, shape) == best
+        assert tuned["big"]["bucket"].endswith("-m4")
+        assert SELLMatrix.from_coo(rows, cols, vals, shape).chunk == best
+        ctx = ProbeContext(rows, cols, vals, shape)
+        assert (ctx.shape[0], ctx.profile.m) == (2048, 4096)
+
+
+class TestKillSwitchDecisions:
+    """A cache that ``repro tune`` warmed picks no layout: ``rules`` and
+    ``cost`` decide exactly as they do with ``REPRO_TUNE=0``."""
+
+    def test_warm_cache_decides_like_the_kill_switch(
+        self, cache_path, monkeypatch
+    ):
+        tref = load_dataset("trefethen", seed=0)
+        tune_datasets(
+            [("trefethen", tref.rows, tref.cols, tref.values, tref.shape)],
+            KNOB_FAMILIES,
+            cache=tune_cache(),
+            base_repeats=1,
+            max_repeats=2,
+            budget=16,
+        )
+        # Thousands of diagonals, yet the same five-axis bucket as the
+        # 12-diagonal trefethen clone: DIA would be a disaster here.
+        noise = uniform_rows_matrix(2000, 2000, 11, seed=1)
+        assert profile_bucket(
+            profile_from_coo(noise[0], noise[1], noise[3])
+        ) == profile_bucket(tref.profile)
+        datasets = [build(1024, 512, 0) for _, build in REPORT_DATASETS]
+        datasets.append(noise)
+
+        def decisions():
+            return [
+                (d.fmt, d.reason)
+                for strategy in ("rules", "cost")
+                for d in (
+                    LayoutScheduler(strategy).decide_from_coo(*coo)
+                    for coo in datasets
+                )
+            ]
+
+        warm = decisions()
+        hybrid = LayoutScheduler(
+            "hybrid", tuner=AutoTuner(repeats=1, smsv_per_probe=2)
+        ).decide_from_coo(*noise)
+        monkeypatch.setenv("REPRO_TUNE", "0")
+        assert decisions() == warm
+        assert hybrid.fmt != "DIA"
+
 
 class TestServeWarmup:
-    def test_warm_cache_sets_initial_format_and_width(self, cache_path):
-        # Warm-up decides at width 1, the width `repro tune` writes
-        # its format entry at; the histogram takes over from there.
-        rows, cols, vals, shape = _coo()
-        profile = profile_from_coo(rows, cols, shape)
-        _warm_format(profile, fmt="sell", batch_k=1)
-        resched = FormatRescheduler()
-        matrix = CSRMatrix.from_coo(rows, cols, vals, shape)
-        assert resched.initial_format(matrix) == "SELL"
-        rec = audit_log().records(source="serve")[-1]
-        assert rec.decision_source == "tuned"
-        assert rec.batch_k == 1
-
     def test_warm_fmt_outside_serve_family_is_rejected(self, cache_path):
         # DEN is a legal scheduler format but not bitwise-exact under
         # serving swaps; warm-up must fall back to the analytic rank.
@@ -345,74 +383,102 @@ class TestRowCacheSizing:
 
 
 class TestParentCacheCompat:
-    """A schema-1 file written before ``batch_k``, ``row_blocks`` and
-    ``workers`` were retired still serves its kept entries, and the
-    retired ones reach no consumer."""
+    """A schema-1 file written by an older version still serves its kept
+    knob entries; its ``format`` entry and the retired ``batch_k``,
+    ``row_blocks`` and ``workers`` entries reach no consumer."""
 
-    def _write_parent_file(self, path, profile):
+    def _write_parent_file(self, path, profile, *, with_format=True):
         fp = tune_cache().fp_hash
         bucket = profile_bucket(profile)
         # Exactly what the older writer persisted, retired families
         # under both the profile bucket and the machine-wide bucket.
+        entries = {
+            f"{fp}|{bucket}|sell_chunk": {
+                "params": {"chunk": 16},
+                "median_seconds": 1.1e-05,
+                "default_seconds": 1.3e-05,
+                "fidelity": 12,
+            },
+            f"{fp}|{bucket}|sigma": {"params": {"sigma": 64}},
+            f"{fp}|{bucket}|row_cache_mb": {"params": {"row_cache_mb": 1}},
+            f"{fp}|{bucket}|format": {
+                "params": {"fmt": "SELL", "batch_k": 1},
+                "median_seconds": 2.0e-05,
+            },
+            f"{fp}|{bucket}|batch_k": {"params": {"batch_k": 16}},
+            f"{fp}|{bucket}|row_blocks": {
+                "params": {"min_rows_per_block": 4096}
+            },
+            f"{fp}|{bucket}|workers": {"params": {"workers": 16}},
+            f"{fp}|machine|batch_k": {"params": {"batch_k": 32}},
+            f"{fp}|machine|row_blocks": {
+                "params": {"min_rows_per_block": 2048}
+            },
+            f"{fp}|machine|workers": {"params": {"workers": 16}},
+        }
+        if not with_format:
+            del entries[f"{fp}|{bucket}|format"]
         doc = {
             "schema": 1,
             "fingerprint": {"cpu_model": "recorded-at-write-time"},
             "fingerprint_hash": fp,
-            "entries": {
-                f"{fp}|{bucket}|sell_chunk": {
-                    "params": {"chunk": 16},
-                    "median_seconds": 1.1e-05,
-                    "default_seconds": 1.3e-05,
-                    "fidelity": 12,
-                },
-                f"{fp}|{bucket}|sigma": {"params": {"sigma": 64}},
-                f"{fp}|{bucket}|row_cache_mb": {
-                    "params": {"row_cache_mb": 1}
-                },
-                f"{fp}|{bucket}|format": {
-                    "params": {"fmt": "SELL", "batch_k": 1},
-                    "median_seconds": 2.0e-05,
-                },
-                f"{fp}|{bucket}|batch_k": {"params": {"batch_k": 16}},
-                f"{fp}|{bucket}|row_blocks": {
-                    "params": {"min_rows_per_block": 4096}
-                },
-                f"{fp}|{bucket}|workers": {"params": {"workers": 16}},
-                f"{fp}|machine|batch_k": {"params": {"batch_k": 32}},
-                f"{fp}|machine|row_blocks": {
-                    "params": {"min_rows_per_block": 2048}
-                },
-                f"{fp}|machine|workers": {"params": {"workers": 16}},
-            },
+            "entries": entries,
         }
         path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        reset_tune_cache()
+
+    @staticmethod
+    def _layouts(coo):
+        """What the scheduler and the serving warm-up pick for ``coo``:
+        default candidates, every analytic format, the serve family."""
+        matrix = CSRMatrix.from_coo(*coo)
+        return [
+            (d.fmt, d.reason, d.source)
+            for d in (
+                LayoutScheduler("cost").decide_from_coo(*coo),
+                LayoutScheduler(
+                    "cost", candidates=ANALYTIC_FORMATS
+                ).decide_from_coo(*coo),
+            )
+        ] + [FormatRescheduler().initial_format(matrix)]
 
     def test_parent_file_loads_and_kept_entries_answer(
         self, cache_path, monkeypatch
     ):
         monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        rows, cols, vals, shape = _coo()
+        coo = _coo()
+        rows, cols, vals, shape = coo
         profile = profile_from_coo(rows, cols, shape)
         assert SCHEMA_VERSION == 1
         self._write_parent_file(cache_path, profile)
-        reset_tune_cache()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert tuned_value("sell_chunk", profile) == 16
             assert tuned_value("sigma", profile) == 64
             assert tuned_value("row_cache_mb", profile) == 1
-            assert tuned_format(profile, batch_k=1) == "SELL"
             assert SELLMatrix.from_coo(rows, cols, vals, shape).chunk == 16
 
             # The retired entries are ignored by their old readers.
             assert default_workers() == max(1, os.cpu_count() or 1)
             assert default_min_rows_per_block() == DEFAULT_MIN_ROWS_PER_BLOCK
-            matrix = CSRMatrix.from_coo(rows, cols, vals, shape)
-            assert FormatRescheduler().initial_format(matrix) == "SELL"
-        rec = audit_log().records(source="serve")[-1]
-        assert rec.decision_source == "tuned"
-        assert rec.batch_k == 1
+            layouts = self._layouts(coo)
+        assert "SELL" not in [entry[0] for entry in layouts[:2]]
+        assert layouts[2] != "SELL"
+        assert audit_log().records(source="serve") == []
         # Nothing was dropped from the file: an older reader sharing
         # it still finds its entries.
-        key = entry_key(tune_cache().fp_hash, "machine", "workers")
-        assert key in tune_cache().entries()
+        entries = tune_cache().entries()
+        assert entry_key(tune_cache().fp_hash, "machine", "workers") in entries
+        assert entry_key(
+            tune_cache().fp_hash, profile_bucket(profile), "format"
+        ) in entries
+
+    def test_format_entry_reaches_no_layout_decision(self, cache_path):
+        # Same file with and without the format entry: every decision,
+        # its reason and its source are the same.
+        coo = _coo()
+        profile = profile_from_coo(coo[0], coo[1], coo[3])
+        self._write_parent_file(cache_path, profile)
+        with_entry = self._layouts(coo)
+        self._write_parent_file(cache_path, profile, with_format=False)
+        assert self._layouts(coo) == with_entry

@@ -5,7 +5,6 @@ import pytest
 from repro.features.profile import DatasetProfile
 from repro.formats.sell import DEFAULT_CHUNK
 from repro.tune.space import (
-    FORMAT_FAMILY,
     KNOB_FAMILIES,
     KNOBS,
     Knob,
@@ -82,7 +81,9 @@ class TestCatalogue:
             assert knob.family == family
 
     def test_format_family_is_not_a_knob_family(self):
-        assert FORMAT_FAMILY not in KNOBS
+        # The storage format is the scheduler's decision, never a
+        # tuned entry.
+        assert "format" not in KNOBS
 
     def test_sell_chunk_default_matches_builder(self):
         assert knob_for("sell_chunk").default_value() == DEFAULT_CHUNK
