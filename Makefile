@@ -36,7 +36,7 @@ test-trace:
 ## tracked shared field touched by two threads must be covered by a
 ## common lock, asserted per test (tests/conftest.py).
 test-race:
-	REPRO_RACE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q tests/serve tests/parallel tests/obs tests/analysis
+	REPRO_RACE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q tests/serve tests/parallel tests/obs tests/svm tests/analysis
 
 ## The paper's shape assertions (Tables II-VII, Figs. 1-7) in
 ## benchmarks/, with pytest-benchmark's timing loop off; CI's

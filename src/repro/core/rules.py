@@ -27,29 +27,17 @@ from dataclasses import dataclass
 from repro.features.profile import DatasetProfile
 
 
-@dataclass(frozen=True)
-class RuleThresholds:
-    """Tunable decision boundaries; defaults follow the paper's data.
-
-    The defaults separate the paper's own Table V datasets the way its
-    Table VI selections do (dense family → DEN, trefethen → DIA,
-    adult → ELL, mnist/sector → COO, aloi → CSR).
-    """
-
-    dense_density: float = 0.5  #: rule 1: density above this → DEN
-    dia_max_ndig: int = 64  #: rule 2: at most this many diagonals
-    dia_min_fill: float = 0.25  #: rule 2: min dnnz / min(M,N)
-    ell_min_balance: float = 0.9  #: rule 3: adim/mdim at least this
-    #: rule 4: raw row-length variance above this → COO.  Fig. 4 plots
-    #: the COO/CSR speedup against raw vdim; the crossover sits between
-    #: aloi (vdim 85, CSR wins) and mnist (vdim 1594, COO wins).
-    coo_min_vdim: float = 500.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dense_density <= 1.0:
-            raise ValueError("dense_density must lie in (0, 1]")
-        if not 0.0 < self.ell_min_balance <= 1.0:
-            raise ValueError("ell_min_balance must lie in (0, 1]")
+# Decision boundaries.  They separate the paper's own Table V datasets
+# the way its Table VI selections do (dense family -> DEN, trefethen ->
+# DIA, adult -> ELL, mnist/sector -> COO, aloi -> CSR).
+DENSE_DENSITY = 0.5  #: rule 1: density at or above this -> DEN
+DIA_MAX_NDIG = 64  #: rule 2: at most this many diagonals
+DIA_MIN_FILL = 0.25  #: rule 2: min dnnz / min(M,N)
+ELL_MIN_BALANCE = 0.9  #: rule 3: adim/mdim at least this
+#: Rule 4: raw row-length variance at or above this -> COO.  Fig. 4
+#: plots the COO/CSR speedup against raw vdim; the crossover sits
+#: between aloi (vdim 85, CSR wins) and mnist (vdim 1594, COO wins).
+COO_MIN_VDIM = 500.0
 
 
 @dataclass(frozen=True)
@@ -61,11 +49,8 @@ class RuleDecision:
     reason: str
 
 
-def rule_based_choice(
-    p: DatasetProfile, thresholds: RuleThresholds | None = None
-) -> RuleDecision:
+def rule_based_choice(p: DatasetProfile) -> RuleDecision:
     """Apply the decision list to a dataset profile."""
-    t = thresholds or RuleThresholds()
 
     if p.nnz == 0:
         return RuleDecision(
@@ -74,17 +59,17 @@ def rule_based_choice(
             reason="empty matrix; CSR stores it in O(M) with no padding",
         )
 
-    if p.density >= t.dense_density:
+    if p.density >= DENSE_DENSITY:
         return RuleDecision(
             fmt="DEN",
             rule="dense",
             reason=(
-                f"density {p.density:.3f} >= {t.dense_density}: sparse "
+                f"density {p.density:.3f} >= {DENSE_DENSITY}: sparse "
                 f"formats would store >= {2 * p.density:.1f}x the elements"
             ),
         )
 
-    if p.ndig <= t.dia_max_ndig and p.diag_fill >= t.dia_min_fill:
+    if p.ndig <= DIA_MAX_NDIG and p.diag_fill >= DIA_MIN_FILL:
         return RuleDecision(
             fmt="DIA",
             rule="banded",
@@ -94,22 +79,22 @@ def rule_based_choice(
             ),
         )
 
-    if p.balance >= t.ell_min_balance:
+    if p.balance >= ELL_MIN_BALANCE:
         return RuleDecision(
             fmt="ELL",
             rule="uniform-rows",
             reason=(
-                f"adim/mdim = {p.balance:.2f} >= {t.ell_min_balance}: "
+                f"adim/mdim = {p.balance:.2f} >= {ELL_MIN_BALANCE}: "
                 f"row padding wastes only {1 - p.balance:.0%}"
             ),
         )
 
-    if p.vdim >= t.coo_min_vdim:
+    if p.vdim >= COO_MIN_VDIM:
         return RuleDecision(
             fmt="COO",
             rule="high-variation",
             reason=(
-                f"vdim = {p.vdim:.3g} >= {t.coo_min_vdim}: CSR SIMD "
+                f"vdim = {p.vdim:.3g} >= {COO_MIN_VDIM}: CSR SIMD "
                 f"lanes would idle on irregular rows; COO's flat "
                 f"stream does not"
             ),

@@ -230,6 +230,27 @@ class MatrixFormat(abc.ABC):
             )
         return V
 
+    def _sweep_cost(self, k: int) -> Tuple[int, int]:
+        """``(flops, bytes_read)`` of one product with ``k`` right-hand
+        sides; defined by the formats that count via :meth:`_count_sweep`."""
+        raise NotImplementedError(f"{self.name} does not price a sweep")
+
+    def _count_sweep(
+        self, counter: Optional[OpCounter], k: int, *, spmm: bool
+    ) -> None:
+        """Record one product: a matvec (``k=1``, ``spmm=False``) or a
+        ``k``-column matmat.  The serial kernels and the
+        :mod:`repro.parallel` paths that split them both count here, so
+        a split product records exactly what the serial one does."""
+        if counter is None:
+            return
+        flops, bytes_read = self._sweep_cost(k)
+        if spmm:
+            counter.add_spmm(k)
+        counter.add_flops(flops)
+        counter.add_read(bytes_read)
+        counter.add_write(self.shape[0] * k * VALUE_ITEMSIZE)
+
     def matmat(
         self, V: np.ndarray, counter: Optional[OpCounter] = None
     ) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 from repro.formats.base import (
     INDEX_DTYPE,
     VALUE_DTYPE,
+    VALUE_ITEMSIZE,
     MatrixFormat,
     SparseVector,
     validate_coo,
@@ -74,6 +75,10 @@ class DenseMatrix(MatrixFormat):
         return (self.array,)
 
     # -- kernels ------------------------------------------------------
+    def _sweep_cost(self, k: int) -> Tuple[int, int]:
+        m, n = self.shape
+        return 2 * m * n * k, self.array.nbytes + n * k * VALUE_ITEMSIZE
+
     def matvec(
         self, x: np.ndarray, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
@@ -83,11 +88,7 @@ class DenseMatrix(MatrixFormat):
                 f"matvec expects x of shape ({self.shape[1]},), got {x.shape}"
             )
         y = self.array @ x
-        if counter is not None:
-            m, n = self.shape
-            counter.add_flops(2 * m * n)
-            counter.add_read(self.array.nbytes + x.nbytes)
-            counter.add_write(y.nbytes)
+        self._count_sweep(counter, 1, spmm=False)
         return y
 
     def matmat(
@@ -100,7 +101,7 @@ class DenseMatrix(MatrixFormat):
         # so the model assigns it a zero batch amortisation fraction.
         V = self._coerce_rhs_block(V)
         k = V.shape[1]
-        m, n = self.shape
+        m = self.shape[0]
         VF = np.asfortranarray(V)
         # (k, M) C-order accumulator returned transposed: each GEMV
         # result lands in a contiguous row instead of a strided column.
@@ -108,11 +109,7 @@ class DenseMatrix(MatrixFormat):
         y = yT.T
         for c in range(k):  # repro: noqa RDL001 — trip count is batch_k; per-column GEMV keeps bit-identity with matvec
             yT[c] = self.array @ VF[:, c]
-        if counter is not None:
-            counter.add_spmm(k)
-            counter.add_flops(2 * m * n * k)
-            counter.add_read(self.array.nbytes + V.nbytes)
-            counter.add_write(y.nbytes)
+        self._count_sweep(counter, k, spmm=True)
         return y
 
     def row(self, i: int) -> SparseVector:

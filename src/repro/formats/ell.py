@@ -19,6 +19,7 @@ import numpy as np
 from repro.formats.base import (
     INDEX_DTYPE,
     VALUE_DTYPE,
+    VALUE_ITEMSIZE,
     MatrixFormat,
     SparseVector,
     validate_coo,
@@ -114,6 +115,14 @@ class ELLMatrix(MatrixFormat):
         return (self.data, self.indices, self.row_lengths)
 
     # -- kernels ------------------------------------------------------
+    def _sweep_cost(self, k: int) -> Tuple[int, int]:
+        padded = self.data.size
+        return 2 * padded * k, (
+            self.data.nbytes
+            + self.indices.nbytes  # padded views streamed once
+            + padded * VALUE_ITEMSIZE * k
+        )
+
     def matvec(
         self, x: np.ndarray, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
@@ -130,13 +139,7 @@ class ELLMatrix(MatrixFormat):
             # processed like real work, as on the SIMD hardware the
             # paper measures.
             y = np.einsum("ij,ij->i", self.data, x[self.indices])
-        if counter is not None:
-            padded = m * mdim
-            counter.add_flops(2 * padded)
-            counter.add_read(
-                self.data.nbytes + self.indices.nbytes + padded * x.itemsize
-            )
-            counter.add_write(y.nbytes)
+        self._count_sweep(counter, 1, spmm=False)
         return y
 
     def matmat(
@@ -159,16 +162,7 @@ class ELLMatrix(MatrixFormat):
             gathered = VT.take(self.indices, axis=1)
             for c in range(k):  # repro: noqa RDL001 — trip count is batch_k; each pass is one vectorised einsum
                 yT[c] = np.einsum("ij,ij->i", self.data, gathered[c])
-        if counter is not None:
-            padded = m * mdim
-            counter.add_spmm(k)
-            counter.add_flops(2 * padded * k)
-            counter.add_read(
-                self.data.nbytes
-                + self.indices.nbytes  # padded views streamed once
-                + padded * V.itemsize * k
-            )
-            counter.add_write(y.nbytes)
+        self._count_sweep(counter, k, spmm=True)
         return y
 
     def row(self, i: int) -> SparseVector:

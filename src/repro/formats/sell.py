@@ -39,6 +39,7 @@ import numpy as np
 from repro.formats.base import (
     INDEX_DTYPE,
     VALUE_DTYPE,
+    VALUE_ITEMSIZE,
     MatrixFormat,
     SparseVector,
     validate_coo,
@@ -239,6 +240,14 @@ class SELLMatrix(MatrixFormat):
         return (self.data, self.indices, self.row_lengths)
 
     # -- kernels ------------------------------------------------------
+    def _sweep_cost(self, k: int) -> Tuple[int, int]:
+        padded = self.padded_elements
+        return 2 * padded * k, (
+            self.data.nbytes
+            + self.indices.nbytes
+            + padded * VALUE_ITEMSIZE * k  # gathered x / V (pads included)
+        )
+
     def matvec(
         self, x: np.ndarray, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
@@ -258,15 +267,7 @@ class SELLMatrix(MatrixFormat):
             nonempty = starts < self._csr_starts[1:]
             if np.any(nonempty):
                 y[nonempty] = np.add.reduceat(prod, starts[nonempty])
-        if counter is not None:
-            padded = self.padded_elements
-            counter.add_flops(2 * padded)
-            counter.add_read(
-                self.data.nbytes
-                + self.indices.nbytes
-                + padded * x.itemsize  # gathered x elements (pads included)
-            )
-            counter.add_write(y.nbytes)
+        self._count_sweep(counter, 1, spmm=False)
         return y
 
     def matmat(
@@ -293,16 +294,7 @@ class SELLMatrix(MatrixFormat):
             if np.any(nonempty):
                 segs = np.add.reduceat(prod, starts[nonempty], axis=1)
                 yT[:, nonempty] = segs
-        if counter is not None:
-            padded = self.padded_elements
-            counter.add_spmm(k)
-            counter.add_flops(2 * padded * k)
-            counter.add_read(
-                self.data.nbytes
-                + self.indices.nbytes
-                + padded * V.itemsize * k
-            )
-            counter.add_write(y.nbytes)
+        self._count_sweep(counter, k, spmm=True)
         return y
 
     def row(self, i: int) -> SparseVector:

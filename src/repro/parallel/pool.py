@@ -74,6 +74,8 @@ def default_workers() -> int:
 class WorkerPool:
     """Reusable thread pool with a serial fast path.
 
+    ``n_workers`` counts the calling thread, which works through
+    :meth:`map` alongside ``n_workers - 1`` executor threads.
     ``n_workers=1`` bypasses the executor entirely — important because
     the autotuner probes tiny matrices where pool dispatch overhead would
     drown the signal it is trying to measure.
@@ -93,8 +95,9 @@ class WorkerPool:
         # its worker threads (the RDL012 pattern).
         with self._lock:
             if self._executor is None:
+                # The calling thread is the n-th worker (see map).
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self.n_workers
+                    max_workers=self.n_workers - 1
                 )
             return self._executor
 
@@ -110,12 +113,39 @@ class WorkerPool:
             return self._executor is not None
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        """``[fn(item) for item in items]``, the calling thread working too.
+
+        The caller runs the first item itself while the pool's threads
+        take the rest.  Then it walks the rest in order, taking back
+        (a successful ``Future.cancel``) and running inline each item
+        no thread has started yet; only then does it wait, and only on
+        items already running.  That saves a handoff when the pool is
+        free and rules out deadlock when it is not: a ``map`` nested
+        inside another ``map`` whose items hold every pool thread runs
+        its own items inline instead of waiting for a thread that never
+        frees.
+        """
         # Serial fast path: one worker or one item never spins up an
         # executor — the closure runs inline on the calling thread.
         if self.n_workers == 1 or len(items) <= 1:
             return [fn(item) for item in items]
         executor = self._ensure()
-        return list(executor.map(fn, items))
+        futures = [executor.submit(fn, item) for item in items[1:]]
+        running = []
+        try:
+            results: List[R] = [fn(items[0])]
+            for future, item in zip(futures, items[1:]):
+                if future.cancel():
+                    results.append(fn(item))
+                else:
+                    results.append(None)  # type: ignore[arg-type]
+                    running.append((len(results) - 1, future))
+        finally:
+            for future in futures:  # no-op unless an item raised
+                future.cancel()
+        for k, future in running:
+            results[k] = future.result()
+        return results
 
     def run(self, thunks: Sequence[Callable[[], R]]) -> List[R]:
         """Execute zero-argument closures, returning results in order."""

@@ -1,8 +1,9 @@
 """SVM kernel functions (paper Table I).
 
-Every kernel evaluates a full kernel-matrix *row* ``K(X, x_i)`` from a
-single SMSV ``X @ x_i`` — the exact computation SMO needs twice per
-iteration, and the one whose cost the data layout controls:
+Every kernel evaluates a full kernel-matrix *row* ``K(X, x_i)`` as an
+elementwise transform of a single SMSV ``X @ x_i`` — the exact
+computation SMO needs twice per iteration, and the one whose cost the
+data layout controls:
 
 =========  ======================================
 Linear     ``x . y``
@@ -27,11 +28,35 @@ from repro.perf.counters import OpCounter
 
 
 class Kernel(abc.ABC):
-    """A Mercer kernel evaluated against all rows of a stored matrix."""
+    """A Mercer kernel evaluated against all rows of a stored matrix.
+
+    A kernel is a Mercer :meth:`transform` of dot products: :meth:`row`
+    and :meth:`rows` take the dots from the matrix's SMSV / multi-SMSV
+    and transform them in place.  Callers that compute the dots
+    another way — SMO's fused pair through :mod:`repro.parallel` —
+    apply the same transform, so every path yields the same bits.
+    """
 
     name: str = "abstract"
 
     @abc.abstractmethod
+    def transform(
+        self,
+        dots: np.ndarray,
+        v_norms_sq,
+        row_norms_sq: np.ndarray,
+    ) -> np.ndarray:
+        """Turn dot products into kernel values, in place on ``dots``.
+
+        ``dots`` is one row ``X @ v`` of shape ``(M,)`` with a scalar
+        ``v_norms_sq``, or a block ``X @ [v_1 .. v_k]`` of shape
+        ``(M, k)`` with one squared norm per column.  The transform is
+        elementwise, so a block's column ``c`` is bit-for-bit the row
+        of ``v_c``.  ``row_norms_sq`` holds the rows' squared norms
+        (only the Gaussian kernel reads the norms; passing them in
+        keeps the hot loop allocation-free).
+        """
+
     def row(
         self,
         X: MatrixFormat,
@@ -40,19 +65,13 @@ class Kernel(abc.ABC):
         row_norms_sq: np.ndarray,
         counter: Optional[OpCounter] = None,
     ) -> np.ndarray:
-        """Kernel row ``[K(X_1, v), ..., K(X_M, v)]``.
+        """Kernel row ``[K(X_1, v), ..., K(X_M, v)]`` from one SMSV.
 
-        Parameters
-        ----------
-        X:
-            Data matrix in any format.
-        v:
-            The selected sample (``X_high`` or ``X_low``) as a sparse
-            vector.
-        v_norm_sq / row_norms_sq:
-            Cached squared norms (only the Gaussian kernel reads them;
-            passing them in keeps the hot loop allocation-free).
+        ``v`` is the selected sample (``X_high`` or ``X_low``) as a
+        sparse vector; ``v_norm_sq`` / ``row_norms_sq`` are cached
+        squared norms.
         """
+        return self.transform(X.smsv(v, counter), v_norm_sq, row_norms_sq)
 
     def rows(
         self,
@@ -65,24 +84,18 @@ class Kernel(abc.ABC):
         """Blocked kernel rows: column ``c`` is ``row(X, vectors[c])``.
 
         One fused SpMM (:meth:`MatrixFormat.smsv_multi`) replaces the k
-        per-vector SMSVs, and the Mercer transform runs once over the
-        whole ``(M, k)`` block.  Because the SpMM contract is bit-for-bit
-        per column and the transforms are elementwise, every column is
+        per-vector SMSVs, and the transform runs once over the whole
+        ``(M, k)`` block.  Because the SpMM contract is bit-for-bit per
+        column and the transforms are elementwise, every column is
         identical to the single-row path — the property the fused SMO
-        hot path relies on.  The default stacks :meth:`row` calls so
-        exotic kernel subclasses stay correct without an override.
+        hot path relies on.
         """
         vectors = list(vectors)
         v_norms_sq = np.asarray(v_norms_sq, dtype=float)
         if v_norms_sq.shape[0] != len(vectors):
             raise ValueError("v_norms_sq must have one entry per vector")
-        if not vectors:
-            return np.zeros((X.shape[0], 0))
-        cols = [
-            self.row(X, v, float(nv), row_norms_sq, counter)
-            for v, nv in zip(vectors, v_norms_sq)
-        ]
-        return np.stack(cols, axis=1)
+        dots = X.smsv_multi(vectors, counter)
+        return self.transform(dots, v_norms_sq, row_norms_sq)
 
     def single(self, x: SparseVector, y: SparseVector) -> float:
         """``K(x, y)`` for two individual samples (prediction path)."""
@@ -113,11 +126,8 @@ class LinearKernel(Kernel):
 
     name = "linear"
 
-    def row(self, X, v, v_norm_sq, row_norms_sq, counter=None):
-        return X.smsv(v, counter)
-
-    def rows(self, X, vectors, v_norms_sq, row_norms_sq, counter=None):
-        return X.smsv_multi(vectors, counter)
+    def transform(self, dots, v_norms_sq, row_norms_sq):
+        return dots
 
     def _transform_scalar(self, dot, nx, ny):
         return dot
@@ -135,15 +145,11 @@ class PolynomialKernel(Kernel):
         self.r = float(r)
         self.degree = int(degree)
 
-    def row(self, X, v, v_norm_sq, row_norms_sq, counter=None):
-        dots = X.smsv(v, counter)
-        return (self.a * dots + self.r) ** self.degree
-
-    def rows(self, X, vectors, v_norms_sq, row_norms_sq, counter=None):
-        dots = X.smsv_multi(vectors, counter)
-        # Elementwise transform over the whole block: identical scalar
-        # op sequence per column as row(), one ufunc dispatch for all k.
-        return (self.a * dots + self.r) ** self.degree
+    def transform(self, dots, v_norms_sq, row_norms_sq):
+        dots *= self.a
+        dots += self.r
+        dots **= self.degree
+        return dots
 
     def _transform_scalar(self, dot, nx, ny):
         return (self.a * dot + self.r) ** self.degree
@@ -163,31 +169,16 @@ class GaussianKernel(Kernel):
         # ||x - x||^2 = 0 always: the RBF diagonal is exactly one.
         return np.ones(np.asarray(row_norms_sq).shape[0])
 
-    def row(self, X, v, v_norm_sq, row_norms_sq, counter=None):
-        dots = X.smsv(v, counter)
-        # ||X_i - v||^2 = ||X_i||^2 + ||v||^2 - 2 X_i.v, computed
-        # in place on the dots buffer (guide: in-place over fresh
-        # allocations in hot loops).
+    def transform(self, dots, v_norms_sq, row_norms_sq):
+        # ||X_i - v||^2 = ||X_i||^2 + ||v||^2 - 2 X_i.v, computed in
+        # place on the dots buffer (guide: in-place over fresh
+        # allocations in hot loops); a block broadcasts the row norms
+        # down its columns and one vector norm per column.
+        row_norms_sq = np.asarray(row_norms_sq, dtype=float)
         dots *= -2.0
-        dots += row_norms_sq
-        dots += v_norm_sq
+        dots += row_norms_sq[:, None] if dots.ndim == 2 else row_norms_sq
+        dots += v_norms_sq
         np.clip(dots, 0.0, None, out=dots)  # guard fp cancellation
-        dots *= -self.gamma
-        return np.exp(dots, out=dots)
-
-    def rows(self, X, vectors, v_norms_sq, row_norms_sq, counter=None):
-        vectors = list(vectors)
-        v_norms_sq = np.asarray(v_norms_sq, dtype=float)
-        if v_norms_sq.shape[0] != len(vectors):
-            raise ValueError("v_norms_sq must have one entry per vector")
-        dots = X.smsv_multi(vectors, counter)
-        # Same in-place sequence as row(), broadcast over the (M, k)
-        # block: per element it is d*(-2) + ||X_i||^2 + ||v_c||^2 in the
-        # same order, so columns stay bit-for-bit identical.
-        dots *= -2.0
-        dots += np.asarray(row_norms_sq, dtype=float)[:, None]
-        dots += v_norms_sq[None, :]
-        np.clip(dots, 0.0, None, out=dots)
         dots *= -self.gamma
         return np.exp(dots, out=dots)
 
@@ -205,14 +196,7 @@ class SigmoidKernel(Kernel):
         self.a = float(a)
         self.r = float(r)
 
-    def row(self, X, v, v_norm_sq, row_norms_sq, counter=None):
-        dots = X.smsv(v, counter)
-        dots *= self.a
-        dots += self.r
-        return np.tanh(dots, out=dots)
-
-    def rows(self, X, vectors, v_norms_sq, row_norms_sq, counter=None):
-        dots = X.smsv_multi(vectors, counter)
+    def transform(self, dots, v_norms_sq, row_norms_sq):
         dots *= self.a
         dots += self.r
         return np.tanh(dots, out=dots)

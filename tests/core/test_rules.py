@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rules import RuleThresholds, rule_based_choice
+from repro.core.rules import rule_based_choice
 from repro.data import load_dataset
 from repro.features import DatasetProfile, profile_from_dense
 
@@ -51,21 +51,6 @@ class TestRules:
     def test_reason_is_informative(self):
         d = rule_based_choice(profile(density=0.9))
         assert "density" in d.reason
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            RuleThresholds(dense_density=0.0)
-        with pytest.raises(ValueError):
-            RuleThresholds(ell_min_balance=1.5)
-
-    def test_custom_thresholds(self):
-        # lowering the dense threshold flips a 30%-dense matrix to DEN
-        p = profile(density=0.3)
-        assert rule_based_choice(p).fmt != "DEN"
-        assert (
-            rule_based_choice(p, RuleThresholds(dense_density=0.25)).fmt
-            == "DEN"
-        )
 
 
 class TestTableVIAgreement:

@@ -116,3 +116,52 @@ class TestParallelSmsvMulti:
         with WorkerPool(2) as pool:
             Y = parallel_smsv_multi(m, [], pool=pool)
         assert Y.shape == (2000, 0)
+
+
+class TestCounterParity:
+    """A split product records what the serial kernel it splits records:
+    every ``OpCounter`` field but the ``parallel_*`` partition ones."""
+
+    OPS = ("matvec", "smsv", "matmat", "smsv_multi")
+
+    @staticmethod
+    def _run(m, op, rng_seed, parallel):
+        from repro.parallel import parallel_matvec, parallel_smsv
+        from repro.perf.counters import OpCounter
+
+        rng = np.random.default_rng(rng_seed)
+        n = m.shape[1]
+        x = rng.standard_normal(n)
+        V = rng.standard_normal((n, 3))
+        vs = _sparse_vectors(rng, n, 2)
+        counter = OpCounter()
+        if not parallel:
+            args = {"matvec": x, "smsv": vs[0], "matmat": V}.get(op, vs)
+            out = getattr(m, op)(args, counter)
+            return out, counter
+        with WorkerPool(2) as pool:
+            kw = dict(pool=pool, min_rows_per_block=100, counter=counter)
+            out = {
+                "matvec": lambda: parallel_matvec(m, x, **kw),
+                "smsv": lambda: parallel_smsv(m, vs[0], **kw),
+                "matmat": lambda: parallel_matmat(m, V, **kw),
+                "smsv_multi": lambda: parallel_smsv_multi(m, vs, **kw),
+            }[op]()
+        return out, counter
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("fmt", ["CSR", "ELL", "SELL", "DEN"])
+    def test_parallel_counts_equal_serial(self, big_sparse, fmt, op):
+        m = from_dense(big_sparse, fmt)
+        ser, c_ser = self._run(m, op, 5, parallel=False)
+        par, c_par = self._run(m, op, 5, parallel=True)
+        if fmt == "DEN" and op in ("matvec", "smsv"):
+            # DEN never splits a single GEMV's rows: the serial path.
+            assert c_par.parallel_blocks == 0
+        else:
+            assert c_par.parallel_blocks >= 2  # the split path ran
+        assert np.array_equal(ser, par)
+        for name in c_ser.field_names():
+            if not name.startswith("parallel_"):
+                assert getattr(c_par, name) == getattr(c_ser, name), name
+        assert c_ser.flops > 0 and c_ser.bytes_read > 0

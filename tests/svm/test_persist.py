@@ -88,8 +88,8 @@ class TestValidation:
         class Weird(Kernel):
             name = "weird"
 
-            def row(self, X, v, vn, rn, counter=None):
-                return X.smsv(v, counter)
+            def transform(self, dots, vn, rn):
+                return dots
 
             def _transform_scalar(self, dot, nx, ny):
                 return dot

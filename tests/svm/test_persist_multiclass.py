@@ -150,8 +150,8 @@ class TestErrors:
         class Odd(Kernel):
             name = "odd"
 
-            def row(self, X, v, v_norm_sq, row_norms_sq, counter=None):
-                return X.smsv(v, counter)
+            def transform(self, dots, v_norms_sq, row_norms_sq):
+                return dots
 
             def _transform_scalar(self, dot, nx, ny):
                 return dot
