@@ -312,7 +312,7 @@ class ParallelClosureCaptureRule(Rule):
     """
 
     _POOL_HINT = re.compile(r"pool|executor", re.IGNORECASE)
-    _POOL_FUNCS = frozenset({"parallel_map", "parallel_reduce"})
+    _POOL_FUNCS = frozenset({"parallel_map"})
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         defs: Dict[str, ast.AST] = {}

@@ -38,7 +38,6 @@ from repro.data.datasets import (
 )
 from repro.data.cifar import CIFAR_SHAPE, ImageDataset, synthetic_cifar10
 from repro.data.libsvm_io import read_libsvm, write_libsvm
-from repro.data.mtx_io import read_mtx, write_mtx
 
 __all__ = [
     "uniform_rows_matrix",
@@ -61,6 +60,4 @@ __all__ = [
     "CIFAR_SHAPE",
     "read_libsvm",
     "write_libsvm",
-    "read_mtx",
-    "write_mtx",
 ]

@@ -27,13 +27,6 @@ from repro.dnn.loss import SoftmaxCrossEntropy
 from repro.dnn.optim import SGD, MomentumSGD, Optimizer
 from repro.dnn.models import cifar10_full, cifar10_small, linear_probe
 from repro.dnn.trainer import EpochStats, Trainer, TrainingRun
-from repro.dnn.parallel import (
-    AllReduceStats,
-    DataParallelTrainer,
-    replicate_net,
-)
-from repro.dnn.fft_conv import Conv2dFFT
-from repro.dnn.batchnorm import BatchNorm2d
 from repro.dnn.schedules import ConstantLR, LRSchedule, StepDecayLR, WarmupLR
 
 __all__ = [
@@ -55,11 +48,6 @@ __all__ = [
     "Trainer",
     "TrainingRun",
     "EpochStats",
-    "DataParallelTrainer",
-    "AllReduceStats",
-    "replicate_net",
-    "Conv2dFFT",
-    "BatchNorm2d",
     "LRSchedule",
     "ConstantLR",
     "StepDecayLR",

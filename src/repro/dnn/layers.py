@@ -42,21 +42,6 @@ class Layer(abc.ABC):
     def n_params(self) -> int:
         return int(sum(p.size for p in self.params.values()))
 
-    def replicate(self) -> "Layer":
-        """Clone for data parallelism: *shares* the parameter arrays
-        (all workers read/update the same weights — the replication-
-        for-weights half of the paper's Section IV-B strategy) but gets
-        fresh gradient and activation-cache state, so workers can run
-        forward/backward concurrently on different batch shards."""
-        import copy
-
-        clone = copy.copy(self)  # params dict (and its arrays) shared
-        clone.grads = {}
-        for name in list(vars(clone)):
-            if name.startswith("_"):
-                setattr(clone, name, None)
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(params={self.n_params})"
 
@@ -254,9 +239,3 @@ class Dropout(Layer):
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
-
-    def replicate(self) -> "Dropout":
-        clone = super().replicate()
-        # Each worker needs its own random stream (fresh, decorrelated).
-        clone._rng = np.random.default_rng(self._rng.integers(2**63))
-        return clone

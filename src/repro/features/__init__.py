@@ -21,7 +21,6 @@ from repro.features.extract import (
     profile_from_coo,
     profile_from_dense,
 )
-from repro.features.streaming import StreamingProfiler
 
 __all__ = [
     "DatasetProfile",
@@ -34,5 +33,4 @@ __all__ = [
     "LayoutFeatures",
     "layout_features",
     "layout_features_from_matrix",
-    "StreamingProfiler",
 ]

@@ -12,7 +12,7 @@ convenience API (:func:`parallel_map`) plus buffer-oriented primitives
 their own output arrays.
 """
 
-from repro.parallel.pool import WorkerPool, parallel_map, parallel_reduce
+from repro.parallel.pool import WorkerPool, parallel_map
 from repro.parallel.partition import balanced_chunks, row_blocks
 from repro.parallel.kernels import (
     parallel_matmat,
@@ -24,7 +24,6 @@ from repro.parallel.kernels import (
 __all__ = [
     "WorkerPool",
     "parallel_map",
-    "parallel_reduce",
     "row_blocks",
     "balanced_chunks",
     "parallel_matvec",

@@ -12,7 +12,7 @@ import atexit
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.analysis.race import make_lock, track_shared
 
@@ -209,26 +209,3 @@ def parallel_map(
         return shared_pool().map(fn, items)
     with WorkerPool(n_workers) as pool:
         return pool.map(fn, items)
-
-
-def parallel_reduce(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    combine: Callable[[R, R], R],
-    *,
-    n_workers: Optional[int] = None,
-) -> R:
-    """Map then left-fold; the Python analogue of an MPI ``Reduce``.
-
-    Raises ``ValueError`` on empty input (no identity element is asked
-    for, matching ``functools.reduce`` semantics).
-    """
-    results: Iterable[R] = parallel_map(fn, items, n_workers=n_workers)
-    it = iter(results)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("parallel_reduce of empty sequence") from None
-    for r in it:
-        acc = combine(acc, r)
-    return acc

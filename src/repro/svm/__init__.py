@@ -11,6 +11,7 @@ Built from scratch on the format library:
   ``decision_function`` API, binary plus one-vs-one multiclass.
 - :mod:`repro.svm.adaptive` — :class:`AdaptiveSVC`, the paper's system:
   a LayoutScheduler decides the storage format before training.
+- :mod:`repro.svm.persist` — save / load trained models as one ``.npz``.
 """
 
 from repro.svm.kernels import (
@@ -25,15 +26,6 @@ from repro.svm.kernels import (
 from repro.svm.smo import SMOResult, smo_train
 from repro.svm.svc import SVC, MulticlassSVC
 from repro.svm.adaptive import AdaptiveSVC
-from repro.svm.dcsvm import DivideAndConquerSVC
-from repro.svm.model_selection import (
-    CPathResult,
-    c_path,
-    cross_val_score,
-    grid_search_cv,
-    kfold_indices,
-)
-from repro.svm.probability import PlattScaler, calibrate_svc, fit_platt
 
 __all__ = [
     "Kernel",
@@ -48,13 +40,4 @@ __all__ = [
     "SVC",
     "MulticlassSVC",
     "AdaptiveSVC",
-    "DivideAndConquerSVC",
-    "kfold_indices",
-    "cross_val_score",
-    "c_path",
-    "CPathResult",
-    "grid_search_cv",
-    "PlattScaler",
-    "fit_platt",
-    "calibrate_svc",
 ]

@@ -69,7 +69,7 @@ class SMOResult:
     converged: bool
     b_high: float
     b_low: float
-    #: final optimality vector (useful for warm starts / diagnostics)
+    #: final optimality vector (diagnostics)
     f: np.ndarray = field(repr=False, default=None)
     kernel_rows_computed: int = 0
     kernel_rows_cached: int = 0
@@ -233,7 +233,6 @@ def smo_train(
     working_set: str = "first",
     shrink_every: int = 0,
     fuse_rows: bool = True,
-    initial_alpha: Optional[np.ndarray] = None,
     counter: Optional[OpCounter] = None,
     on_iteration: Optional[Callable[[int, float, float], None]] = None,
 ) -> SMOResult:
@@ -282,14 +281,6 @@ def smo_train(
         the single-row path, so the training trajectory (iterations,
         support set, bias) is unchanged; set False to force the unfused
         path (used by the equivalence tests and the benchmark harness).
-    initial_alpha:
-        Optional warm start: a feasible multiplier vector (within the
-        box ``[0, C]`` and satisfying ``sum alpha_i y_i = 0``), e.g.
-        the solution of a previous fit with nearby hyper-parameters.
-        The optimality vector f is rebuilt from its support (one kernel
-        row per non-zero entry), after which SMO resumes normally —
-        typically converging in a small fraction of the cold-start
-        iterations.
     counter:
         Optional op counter threaded through every SMSV.
     on_iteration:
@@ -325,21 +316,8 @@ def smo_train(
     eps_a = 1e-12 * C  # alpha-at-bound slack
     tracer = get_tracer()
 
-    # Step 2: alpha = 0, f_i = -y_i (or the validated warm start).
-    if initial_alpha is not None:
-        alpha = np.asarray(initial_alpha, dtype=np.float64).copy()
-        if alpha.shape != (m,):
-            raise ValueError("initial_alpha must have length M")
-        if alpha.min() < -1e-9 or alpha.max() > C + 1e-9:
-            raise ValueError("initial_alpha violates the box [0, C]")
-        if abs(float(alpha @ y)) > 1e-6 * max(1.0, float(alpha.sum())):
-            raise ValueError(
-                "initial_alpha violates the equality constraint "
-                "sum alpha_i y_i = 0"
-            )
-        np.clip(alpha, 0.0, C, out=alpha)
-    else:
-        alpha = np.zeros(m, dtype=np.float64)
+    # Step 2: alpha = 0, f_i = -y_i.
+    alpha = np.zeros(m, dtype=np.float64)
     f = -y.copy()
 
     row_norms = X.row_norms_sq()
@@ -442,8 +420,8 @@ def smo_train(
     # bit for bit (x + -0.0 is x, signed zeros included; finite + inf
     # is inf) without allocating.  An iteration moves only alpha[high]
     # and alpha[low], so only those two entries are re-derived
-    # (update_index_sets); the full O(m) recompute runs after the warm
-    # start and wherever the active set changes (shrink, unshrink).
+    # (update_index_sets); the full O(m) recompute runs at the start
+    # and wherever the active set changes (shrink, unshrink).
     pos, neg = y > 0, y < 0
     hi_mask = np.empty(m, dtype=np.float64)
     lo_mask = np.empty(m, dtype=np.float64)
@@ -539,12 +517,6 @@ def smo_train(
             cache.clear()
         index_sets()
         unshrink_events += 1
-
-    # Warm start: rebuild f = sum_j alpha_j y_j K_.j - y from the
-    # support of the supplied multipliers (one kernel row each).
-    if initial_alpha is not None:
-        for j in np.nonzero(alpha > eps_a)[0]:
-            f += (alpha[j] * y[j]) * kernel_row(int(j))
 
     index_sets()
 

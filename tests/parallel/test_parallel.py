@@ -9,7 +9,6 @@ from repro.parallel import (
     WorkerPool,
     balanced_chunks,
     parallel_map,
-    parallel_reduce,
     row_blocks,
 )
 from repro.parallel.pool import _worker_cap, default_workers
@@ -237,18 +236,6 @@ class TestCallerRunsItems:
         pool.shutdown()
         assert not t.is_alive(), "nested parallel_map deadlocked"
         assert out == [[[0, 1, 2], [10, 11, 12]]]
-
-
-class TestParallelReduce:
-    def test_sum(self):
-        total = parallel_reduce(
-            lambda v: v * v, list(range(10)), lambda a, b: a + b, n_workers=4
-        )
-        assert total == sum(v * v for v in range(10))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            parallel_reduce(lambda v: v, [], lambda a, b: a + b)
 
 
 class TestDefaultWorkers:

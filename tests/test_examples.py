@@ -45,18 +45,3 @@ class TestSlowExamples:
     def test_calibrate_cost_model(self):
         out = run_example("calibrate_cost_model.py")
         assert "fitted calibration" in out
-
-    def test_distributed_training(self):
-        out = run_example("distributed_training.py")
-        assert "shard layouts" in out
-        assert "allreduce" in out
-
-    def test_hardware_analysis(self):
-        out = run_example("hardware_analysis.py")
-        assert "roofline analysis" in out
-        assert "fastest by the SIMD model" in out
-
-    def test_svm_model_selection(self):
-        out = run_example("svm_model_selection.py")
-        assert "grid search" in out
-        assert "predictions identical: True" in out
