@@ -83,7 +83,7 @@ def test_ablation_parallel_smsv(workload, timings, benchmark, record_rows):
         ref = m.matvec(x)
         with WorkerPool(4) as pool:
             got = parallel_matvec(m, x, pool=pool, min_rows_per_block=1024)
-        assert np.allclose(got, ref), fmt
+        assert np.array_equal(got, ref), fmt
     # threading is never catastrophically slower on the big case
     for fmt, per in timings.items():
         assert per[4] < per[1] * 2.0, (fmt, per)
