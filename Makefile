@@ -7,10 +7,11 @@ PYTHONPATH := src
 
 .PHONY: lint race test test-sanitize test-trace test-race paper-shapes bench bench-smoke obs-report-smoke tune wall-bench-smoke check
 
-## Static analysis: the twelve RDL rules over the whole tree, JSON
-## mode, non-zero exit on any finding.  See docs/analysis.md.
+## Static analysis: the twelve RDL rules over the library, its tests,
+## the paper-shape benchmarks and the examples, JSON mode, non-zero
+## exit on any finding.  See docs/analysis.md.
 lint:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis src tests
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis src tests benchmarks examples
 
 ## Static race report: only the concurrency rules (RDL009-RDL012) over
 ## the shipped sources — lock discipline, executor closure escapes,

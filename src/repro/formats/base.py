@@ -139,6 +139,33 @@ class SparseVector:
         return f"SparseVector(nnz={self.nnz}, length={self.length})"
 
 
+def _scatter(
+    vectors, n: int, counter: Optional[OpCounter] = None
+) -> np.ndarray:
+    """Scatter sparse vectors into the dense ``(k, N)`` block whose rows
+    are the right-hand sides of an SMSV.
+
+    The one scatter of :meth:`MatrixFormat.smsv` (row 0),
+    :meth:`MatrixFormat.smsv_multi` (the ``(N, k)`` transposed view) and
+    the :mod:`repro.parallel` splits of both; the block's bytes count as
+    written.  C-order, so each scatter writes a contiguous row and each
+    column of the transposed view that the format kernels gather from
+    is contiguous too.
+    """
+    vectors = list(vectors)
+    for v in vectors:
+        if v.length != n:
+            raise ValueError(
+                f"smsv expects vectors of length {n}, got {v.length}"
+            )
+    Vk = np.zeros((len(vectors), n), dtype=VALUE_DTYPE)
+    for c, v in enumerate(vectors):
+        Vk[c, v.indices] = v.values
+    if counter is not None:
+        counter.add_write(Vk.nbytes)
+    return Vk
+
+
 class MatrixFormat(abc.ABC):
     """Abstract matrix stored in one particular layout.
 
@@ -215,9 +242,7 @@ class MatrixFormat(abc.ABC):
         strategy the paper's kernels use, since the matrix side dominates.
         Formats with a cheaper gather path override this.
         """
-        x = v.to_dense()
-        if counter is not None:
-            counter.add_write(x.nbytes)
+        x = _scatter((v,), self.shape[1], counter)[0]
         return self.matvec(x, counter)
 
     def _coerce_rhs_block(self, V: np.ndarray) -> np.ndarray:
@@ -283,25 +308,8 @@ class MatrixFormat(abc.ABC):
         column ``c`` matches ``smsv(vectors[c])`` bit-for-bit; the block
         then goes through :meth:`matmat` so the matrix is traversed once
         for all k right-hand sides.
-
-        The block is built transposed — ``(k, N)`` C-order, passed as
-        its ``(N, k)`` F-order view — so each scatter writes a
-        contiguous row and each per-column gather in the format kernels
-        reads contiguous memory.  Layout only; the values are the same.
         """
-        vectors = list(vectors)
-        n = self.shape[1]
-        for v in vectors:  # repro: noqa RDL001 — trip count is batch_k; O(1) length validation per vector
-            if v.length != n:
-                raise ValueError(
-                    f"smsv_multi expects vectors of length {n}, "
-                    f"got {v.length}"
-                )
-        Vk = np.zeros((len(vectors), n), dtype=VALUE_DTYPE)
-        for c, v in enumerate(vectors):  # repro: noqa RDL001 — trip count is batch_k; each pass is one O(nnz_v) scatter
-            Vk[c, v.indices] = v.values
-        if counter is not None:
-            counter.add_write(Vk.nbytes)
+        Vk = _scatter(vectors, self.shape[1], counter)
         return self.matmat(Vk.T, counter)
 
     @abc.abstractmethod

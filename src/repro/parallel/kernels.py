@@ -4,17 +4,22 @@ The paper parallelises the SMO bottleneck with OpenMP across rows.
 These helpers do the shared-memory Python equivalent: partition the
 output rows, run each block's kernel on a pool thread (NumPy's ufuncs
 and BLAS release the GIL for large blocks), write into disjoint output
-slices.
+slices.  This module splits; the formats compute.  Each block is a
+matrix of the same format on views of the parent's arrays (the
+format's ``_row_block``), and a block runs that format's own serial
+``matvec``/``matmat`` — so the split product is bit-for-bit the serial
+one, with no second copy of any kernel to keep in step.
 
-Partitioning is nnz-balanced, not row-count-balanced: every format
-with per-row work variation (CSR by ``dim_i``, SELL by its padded
-slice width) partitions with :func:`~repro.parallel.partition.
-balanced_chunks` over its per-row work weights, so one dense row —
-or one wide slice — cannot serialise the whole product on a single
-hot block.  That is the same load-balancing concern behind the
-paper's ``vdim`` parameter.  ELL pads every row to the same width
-and reduces to equal-count blocks, which *is* its nnz-balanced
-partition.  The planned per-block work is reported to an
+Partitioning is nnz-balanced, not row-count-balanced: CSR weighs its
+rows by ``dim_i`` and SELL weighs its slices by their padded size, and
+both partition with :func:`~repro.parallel.partition.balanced_chunks`,
+so one dense row — or one wide slice — cannot serialise the whole
+product on a single hot block.  That is the same load-balancing
+concern behind the paper's ``vdim`` parameter.  SELL blocks start on
+slice boundaries, so each block's slices are the parent's and their
+widths stay tight.  ELL pads every row to the same width and reduces
+to equal-count blocks, which *is* its nnz-balanced partition.  The
+planned per-block work is reported to an
 :class:`~repro.perf.counters.OpCounter` (``parallel_blocks`` /
 ``parallel_work_total`` / ``parallel_work_max``) so tests and benches
 can assert balance.
@@ -23,16 +28,17 @@ DEN is the exception: BLAS groups a GEMV's rows by their position, so
 a GEMV over a row slice can sum a row's products in a different order
 than the full-matrix GEMV and differ in the last bits.  DEN therefore
 never slices rows: :func:`parallel_matmat` splits its columns, each
-one the serial kernel's full-matrix GEMV, and :func:`parallel_matvec`
-runs the serial kernel.
+block the serial ``matmat`` on its columns of ``V``, and
+:func:`parallel_matvec` runs the serial kernel.
 
 SMO is the production caller: from :data:`DEN_PAIR_MIN_ELEMENTS` up,
 a DEN fit computes its fused kernel-row pair through
-:func:`parallel_smsv_multi` (:mod:`repro.svm.smo`).  Every split
-product records in an :class:`~repro.perf.counters.OpCounter` what the
-serial kernel it splits records (flops, bytes, SpMM calls and
-columns, via the format's ``_count_sweep``), plus the ``parallel_*``
-partition fields, so counts never depend on the path taken.
+:func:`parallel_smsv_multi` (:mod:`repro.svm.smo`).  The blocks run
+uncounted; every split product then records in an
+:class:`~repro.perf.counters.OpCounter` what the serial kernel it
+splits records (flops, bytes, SpMM calls and columns, via the format's
+``_count_sweep``), plus the ``parallel_*`` partition fields, so counts
+never depend on the path taken.
 """
 
 from __future__ import annotations
@@ -43,7 +49,12 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.race import check_disjoint_blocks, get_race_sanitizer
-from repro.formats.base import VALUE_DTYPE, MatrixFormat, SparseVector
+from repro.formats.base import (
+    VALUE_DTYPE,
+    MatrixFormat,
+    SparseVector,
+    _scatter,
+)
 from repro.formats.csr import CSRMatrix
 from repro.formats.dense import DenseMatrix
 from repro.formats.ell import ELLMatrix
@@ -67,36 +78,32 @@ _SLICEABLE = (CSRMatrix, ELLMatrix, SELLMatrix)
 DEN_PAIR_MIN_ELEMENTS = 750_000
 
 
-def _work_weights(matrix: MatrixFormat) -> Optional[np.ndarray]:
-    """Per-row work weights, or None when rows cost uniformly.
-
-    CSR streams ``dim_i`` elements per row; SELL streams its padded
-    per-row slice width (padding is real work); ELL pads every row to
-    the same width, so equal row counts are already balanced.
-    """
-    if isinstance(matrix, CSRMatrix):
-        return np.asarray(matrix.row_lengths, dtype=np.int64)
-    if isinstance(matrix, SELLMatrix):
-        return np.diff(matrix.row_starts)
-    return None
-
-
 def _blocks_for(
     matrix: MatrixFormat,
     n_blocks: int,
     counter: Optional[OpCounter] = None,
 ):
-    weights = _work_weights(matrix)
-    if weights is not None:
-        blocks = balanced_chunks(weights, n_blocks)
-    else:
-        blocks = row_blocks(matrix.shape[0], n_blocks)
+    """The row blocks of the partition; each block's planned work goes
+    to ``counter``: its entries (CSR), stored slots (SELL) or rows
+    (ELL)."""
+    m = matrix.shape[0]
+    if isinstance(matrix, CSRMatrix):
+        starts = matrix.row_ptr
+        blocks = balanced_chunks(np.diff(starts), n_blocks)
+    elif isinstance(matrix, SELLMatrix):
+        # Whole slices, weighed by their padded size C_s * w_s.
+        bounds = np.minimum(
+            np.arange(matrix.n_slices + 1) * matrix.chunk, m
+        )
+        starts = matrix.row_starts
+        blocks = [
+            (int(bounds[s]), int(bounds[e]))
+            for s, e in balanced_chunks(np.diff(starts[bounds]), n_blocks)
+        ]
+    else:  # ELL: every row costs the padded width
+        starts = np.arange(m + 1)
+        blocks = row_blocks(m, n_blocks)
     if counter is not None:
-        m = matrix.shape[0]
-        if weights is None:
-            weights = np.ones(m, dtype=np.int64)
-        starts = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(weights, out=starts[1:])
         counter.add_parallel_blocks(
             int(starts[e] - starts[s]) for s, e in blocks
         )
@@ -188,7 +195,7 @@ def parallel_matvec(
     min_rows_per_block: Optional[int] = None,
     counter: Optional[OpCounter] = None,
 ) -> np.ndarray:
-    """``y = A @ x`` with row blocks on pool threads.
+    """``y = Ax`` with row blocks on pool threads.
 
     Supported formats: CSR, ELL, SELL (the row-sliceable layouts).
     Falls back to the serial kernel when the matrix is too small for
@@ -199,7 +206,7 @@ def parallel_matvec(
     re-associate BLAS's sums).
 
     The result is bit-for-bit identical to the serial kernel: every
-    block runs the serial kernel's op sequence on its contiguous slice.
+    block runs the format's own kernel on its ``_row_block``.
     ``counter`` receives the serial kernel's counts plus the planned
     per-block work of the partition (``parallel_*`` fields); on the
     serial fallback it is forwarded to the format kernel.
@@ -219,56 +226,9 @@ def parallel_matvec(
     y = np.empty(m, dtype=VALUE_DTYPE)
     blocks = _blocks_for(matrix, n_blocks, counter)
 
-    if isinstance(matrix, ELLMatrix):
-        data, indices = matrix.data, matrix.indices
-
-        def work(block):
-            s, e = block
-            if data.shape[1]:
-                y[s:e] = np.einsum(
-                    "ij,ij->i", data[s:e], x[indices[s:e]]
-                )
-            else:
-                y[s:e] = 0.0
-
-    elif isinstance(matrix, SELLMatrix):
-        data, indices = matrix.data, matrix.indices
-        flat_starts = matrix.row_starts
-        valid, cstarts = matrix._valid, matrix._csr_starts
-
-        def work(block):
-            s, e = block
-            lo, hi = int(flat_starts[s]), int(flat_starts[e])
-            y[s:e] = 0.0
-            if hi > lo:
-                # Padded multiply over the block's flat slots, then
-                # compress — the serial kernel's exact op sequence.
-                prod = (data[lo:hi] * x[indices[lo:hi]])[valid[lo:hi]]
-                clo = int(cstarts[s])
-                starts = cstarts[s:e] - clo
-                nonempty = starts < (cstarts[s + 1 : e + 1] - clo)
-                if np.any(nonempty):
-                    seg = np.add.reduceat(prod, starts[nonempty])
-                    out = np.zeros(e - s)
-                    out[nonempty] = seg
-                    y[s:e] = out
-
-    else:  # CSR
-        vals, cols, ptr = matrix.values, matrix.col_idx, matrix.row_ptr
-
-        def work(block):
-            s, e = block
-            lo, hi = int(ptr[s]), int(ptr[e])
-            y[s:e] = 0.0
-            if hi > lo:
-                prod = vals[lo:hi] * x[cols[lo:hi]]
-                starts = ptr[s:e] - lo
-                nonempty = starts < (ptr[s + 1 : e + 1] - lo)
-                if np.any(nonempty):
-                    seg = np.add.reduceat(prod, starts[nonempty])
-                    out = np.zeros(e - s)
-                    out[nonempty] = seg
-                    y[s:e] = out
+    def work(block):
+        s, e = block
+        y[s:e] = matrix._row_block(s, e).matvec(x)
 
     _run_blocks(pool, work, blocks, "parallel.matvec", matrix)
     matrix._count_sweep(counter, 1, spmm=False)
@@ -283,13 +243,12 @@ def parallel_smsv(
     min_rows_per_block: Optional[int] = None,
     counter: Optional[OpCounter] = None,
 ) -> np.ndarray:
-    """Parallel sparse-matrix x sparse-vector (scatter + blocked matvec)."""
-    x = v.to_dense()
-    if counter is not None:
-        counter.add_write(x.nbytes)  # the scatter, as the serial smsv
+    """Parallel sparse-matrix x sparse-vector: the serial
+    :meth:`~repro.formats.base.MatrixFormat.smsv`'s scatter, then
+    :func:`parallel_matvec`."""
     return parallel_matvec(
         matrix,
-        x,
+        _scatter((v,), matrix.shape[1], counter)[0],
         pool=pool,
         min_rows_per_block=min_rows_per_block,
         counter=counter,
@@ -304,20 +263,20 @@ def parallel_matmat(
     min_rows_per_block: Optional[int] = None,
     counter: Optional[OpCounter] = None,
 ) -> np.ndarray:
-    """Row-block parallel SpMM: ``Y = A @ V`` for a dense ``(N, k)`` block.
+    """Row-block parallel SpMM: ``Y = AV`` for a dense ``(N, k)`` block.
 
-    Each pool thread runs the serial :meth:`~repro.formats.base.
-    MatrixFormat.matmat` column recipe on its contiguous row block —
-    so every output element is computed by the exact serial op sequence
-    (bit-for-bit identical to ``matrix.matmat(V)``), and blocks write
-    disjoint ``y[s:e]`` slices.  DEN splits the columns instead: each
-    block runs the serial kernel's full-matrix GEMV for its columns,
-    at most ``k`` blocks.  Formats without a row-sliced path (COO/DIA,
-    permuted wrappers) and single-block partitions fall back to the
-    serial kernel without constructing a pool.  ``counter`` receives
-    the serial kernel's counts plus the partition's per-block work
-    (rows swept; ``M`` per DEN column), or is forwarded to the serial
-    kernel on the fallback path.
+    Each pool thread runs the format's own serial
+    :meth:`~repro.formats.base.MatrixFormat.matmat` on its
+    ``_row_block`` — so every output element is computed by the exact
+    serial op sequence (bit-for-bit identical to ``matrix.matmat(V)``),
+    and blocks write disjoint output slices.  DEN splits the columns
+    instead: each block runs the serial ``matmat`` on its columns of
+    ``V``, at most ``k`` blocks.  Formats without a row-sliced path
+    (COO/DIA, permuted wrappers) and single-block partitions fall back
+    to the serial kernel without constructing a pool.  ``counter``
+    receives the serial kernel's counts plus the partition's planned
+    per-block work (``M`` per DEN column), or is forwarded to the
+    serial kernel on the fallback path.
     """
     V = np.asarray(V, dtype=VALUE_DTYPE)
     if V.ndim != 2 or V.shape[0] != matrix.shape[1]:
@@ -339,89 +298,26 @@ def parallel_matmat(
         blocks = row_blocks(k, n_blocks)
         if counter is not None:
             counter.add_parallel_blocks(m * (e - s) for s, e in blocks)
-        VF = np.asfortranarray(V)
-        # The serial kernel's (k, M) accumulator: column c is its GEMV.
-        yT = np.empty((k, m), dtype=VALUE_DTYPE)
+    else:
+        blocks = _blocks_for(matrix, n_blocks, counter)
+    # One column-major copy of V shared by every block (DEN's and ELL's
+    # kernels would otherwise each make their own), and the serial
+    # kernels' (k, M) accumulator, returned as its (M, k) view.
+    V = np.asfortranarray(V)
+    yT = np.empty((k, m), dtype=VALUE_DTYPE)
 
-        def work(block):
-            s, e = block
-            for c in range(s, e):
-                yT[c] = matrix.array @ VF[:, c]
+    def work(block):
+        s, e = block
+        if dense:
+            yT[s:e] = matrix.matmat(V[:, s:e]).T
+        else:
+            yT[:, s:e] = matrix._row_block(s, e).matmat(V).T
 
-        _run_blocks(pool, work, blocks, "parallel.matmat", matrix, k)
-        matrix._count_sweep(counter, k, spmm=True)
-        return yT.T
-
-    y = np.empty((m, k), dtype=VALUE_DTYPE)
-    blocks = _blocks_for(matrix, n_blocks, counter)
-
-    if isinstance(matrix, ELLMatrix):
-        data, indices = matrix.data, matrix.indices
-        VT = np.ascontiguousarray(V.T)
-
-        def work(block):
-            s, e = block
-            if data.shape[1]:
-                gathered = VT.take(indices[s:e], axis=1)
-                for c in range(k):
-                    y[s:e, c] = np.einsum(
-                        "ij,ij->i", data[s:e], gathered[c]
-                    )
-            else:
-                y[s:e] = 0.0
-
-    elif isinstance(matrix, SELLMatrix):
-        data, indices = matrix.data, matrix.indices
-        flat_starts = matrix.row_starts
-        valid, cstarts = matrix._valid, matrix._csr_starts
-
-        def work(block):
-            s, e = block
-            lo, hi = int(flat_starts[s]), int(flat_starts[e])
-            y[s:e] = 0.0
-            if hi > lo:
-                bvalid = valid[lo:hi]
-                clo = int(cstarts[s])
-                nnz_blk = int(cstarts[e]) - clo
-                starts = cstarts[s:e] - clo
-                nonempty = starts < (cstarts[s + 1 : e + 1] - clo)
-                prod = np.empty((k, nnz_blk), dtype=VALUE_DTYPE)
-                for c in range(k):
-                    np.compress(
-                        bvalid,
-                        data[lo:hi] * V[:, c].take(indices[lo:hi]),
-                        out=prod[c],
-                    )
-                if np.any(nonempty):
-                    segs = np.add.reduceat(prod, starts[nonempty], axis=1)
-                    out = np.zeros((e - s, k), dtype=VALUE_DTYPE)
-                    out[nonempty] = segs.T
-                    y[s:e] = out
-
-    else:  # CSR
-        vals, cols, ptr = matrix.values, matrix.col_idx, matrix.row_ptr
-
-        def work(block):
-            s, e = block
-            lo, hi = int(ptr[s]), int(ptr[e])
-            y[s:e] = 0.0
-            if hi > lo:
-                starts = ptr[s:e] - lo
-                nonempty = starts < (ptr[s + 1 : e + 1] - lo)
-                prod = np.empty((k, hi - lo), dtype=VALUE_DTYPE)
-                for c in range(k):
-                    np.multiply(
-                        vals[lo:hi], V[:, c].take(cols[lo:hi]), out=prod[c]
-                    )
-                if np.any(nonempty):
-                    segs = np.add.reduceat(prod, starts[nonempty], axis=1)
-                    out = np.zeros((e - s, k), dtype=VALUE_DTYPE)
-                    out[nonempty] = segs.T
-                    y[s:e] = out
-
-    _run_blocks(pool, work, blocks, "parallel.matmat", matrix)
+    _run_blocks(
+        pool, work, blocks, "parallel.matmat", matrix, k if dense else None
+    )
     matrix._count_sweep(counter, k, spmm=True)
-    return y
+    return yT.T
 
 
 def parallel_smsv_multi(
@@ -432,27 +328,13 @@ def parallel_smsv_multi(
     min_rows_per_block: Optional[int] = None,
     counter: Optional[OpCounter] = None,
 ) -> np.ndarray:
-    """Parallel multi-vector SMSV (scatter the block + blocked SpMM).
-
-    The block is scattered as the serial
-    :meth:`~repro.formats.base.MatrixFormat.smsv_multi` scatters it —
-    ``(k, N)`` C-order, passed as its ``(N, k)`` view — so DEN's column
-    GEMVs read the very operand layout the serial kernel reads.
-    """
-    vectors = list(vectors)
-    n = matrix.shape[1]
-    Vk = np.zeros((len(vectors), n), dtype=VALUE_DTYPE)
-    for c, v in enumerate(vectors):
-        if v.length != n:
-            raise ValueError(
-                f"smsv_multi expects vectors of length {n}, got {v.length}"
-            )
-        Vk[c, v.indices] = v.values
-    if counter is not None:
-        counter.add_write(Vk.nbytes)  # the scatter, as the serial kernel
+    """Parallel multi-vector SMSV: the serial
+    :meth:`~repro.formats.base.MatrixFormat.smsv_multi`'s scatter, then
+    :func:`parallel_matmat` — so DEN's column GEMVs read the very
+    operand layout the serial kernel reads."""
     return parallel_matmat(
         matrix,
-        Vk.T,
+        _scatter(vectors, matrix.shape[1], counter).T,
         pool=pool,
         min_rows_per_block=min_rows_per_block,
         counter=counter,

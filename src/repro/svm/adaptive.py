@@ -52,7 +52,6 @@ class AdaptiveSVC(SVC):
         cache_mb: Optional[float] = None,
         working_set: str = "first",
         shrink_every: int = 0,
-        fuse_rows: bool = True,
         scheduler: Optional[LayoutScheduler] = None,
         **kernel_params: float,
     ) -> None:
@@ -65,7 +64,6 @@ class AdaptiveSVC(SVC):
             cache_mb=cache_mb,
             working_set=working_set,
             shrink_every=shrink_every,
-            fuse_rows=fuse_rows,
             **kernel_params,
         )
         self.scheduler = scheduler or LayoutScheduler("hybrid")

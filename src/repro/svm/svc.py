@@ -40,15 +40,15 @@ class SVC:
     kernel:
         Kernel name (``linear`` / ``polynomial`` / ``gaussian`` /
         ``sigmoid``) or a :class:`~repro.svm.kernels.Kernel` instance.
-    C, tol, max_iter, cache_rows, cache_mb, working_set, shrink_every,
-    fuse_rows:
+    C, tol, max_iter, cache_rows, cache_mb, working_set, shrink_every:
         Passed through to :func:`repro.svm.smo.smo_train`
         (``working_set="second"`` enables LIBSVM's second-order pair
         selection; ``shrink_every > 0`` enables shrinking; ``cache_mb``
         sizes the row cache by memory budget, LIBSVM ``-m`` style, and
         leaving both cache sizes ``None`` runs the tuning catalogue's
-        ``row_cache_mb`` default; ``fuse_rows=False`` disables the
-        dual-row SpMM hot path).
+        ``row_cache_mb`` default).  Fits always run SMO's fused
+        dual-row SpMM path; ``smo_train(fuse_rows=False)`` is the
+        unfused reference the tests compare it with.
     sv_block:
         Support vectors per blocked SpMM sweep in
         :meth:`decision_function` (``1`` disables blocking and
@@ -78,7 +78,6 @@ class SVC:
         cache_mb: Optional[float] = None,
         working_set: str = "first",
         shrink_every: int = 0,
-        fuse_rows: bool = True,
         sv_block: int = 32,
         **kernel_params: float,
     ) -> None:
@@ -98,7 +97,6 @@ class SVC:
         self.cache_mb = cache_mb
         self.working_set = working_set
         self.shrink_every = shrink_every
-        self.fuse_rows = fuse_rows
         self.sv_block = int(sv_block)
         # fitted state
         self.result_: Optional[SMOResult] = None
@@ -128,7 +126,6 @@ class SVC:
             cache_mb=self.cache_mb,
             working_set=self.working_set,
             shrink_every=self.shrink_every,
-            fuse_rows=self.fuse_rows,
             counter=counter,
         )
         self.result_ = result

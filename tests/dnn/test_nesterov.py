@@ -7,6 +7,10 @@ from repro.dnn import Linear, MomentumSGD, ReLU, Sequential
 
 class TestNesterov:
     def _loss_path(self, opt, steps=40, seed=3):
+        return self._run(opt, steps, seed)[0]
+
+    def _run(self, opt, steps=40, seed=3):
+        """The loss path and the final weights of ``steps`` steps."""
         from repro.dnn import SoftmaxCrossEntropy
 
         rng = np.random.default_rng(seed)
@@ -21,7 +25,8 @@ class TestNesterov:
             net.backward(g)
             opt.step(net)
             losses.append(loss)
-        return losses
+        params = {key: p.copy() for key, p in net.named_params()}
+        return losses, params
 
     def test_differs_from_classical(self):
         a = self._loss_path(MomentumSGD(0.05, 0.9, nesterov=False))
@@ -33,8 +38,22 @@ class TestNesterov:
         assert losses[-1] < losses[0] * 0.5
 
     def test_zero_momentum_equals_sgd_lookahead_or_not(self):
-        # With mu = 0 the look-ahead form is W -= 2*eta*g per step
-        # relative history... actually V = -eta g, and nesterov adds
-        # another -eta g: assert it still optimises.
-        losses = self._loss_path(MomentumSGD(0.05, 0.0, nesterov=True))
-        assert losses[-1] < losses[0]
+        # With mu = 0 the velocity is V = -eta*g, and both W += V
+        # (classical) and W += 0*V - eta*g (look-ahead) are SGD's
+        # W -= eta*g to the last bit.
+        from repro.dnn import SGD
+
+        runs = [
+            self._run(opt)
+            for opt in (
+                SGD(0.05),
+                MomentumSGD(0.05, 0.0, nesterov=False),
+                MomentumSGD(0.05, 0.0, nesterov=True),
+            )
+        ]
+        sgd_losses, sgd_params = runs[0]
+        for losses, params in runs[1:]:
+            assert losses == sgd_losses
+            assert params.keys() == sgd_params.keys()
+            for key, w in params.items():
+                np.testing.assert_array_equal(w, sgd_params[key])

@@ -28,7 +28,7 @@ def _sparse_vectors(rng, n, k):
 
 
 class TestParallelMatmat:
-    @pytest.mark.parametrize("fmt", ["DEN", "CSR", "ELL"])
+    @pytest.mark.parametrize("fmt", ["DEN", "CSR", "ELL", "SELL"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bitwise_identical_to_serial(
         self, big_sparse, rng, fmt, workers
@@ -95,7 +95,7 @@ class TestParallelMatmat:
 
 
 class TestParallelSmsvMulti:
-    @pytest.mark.parametrize("fmt", ["DEN", "CSR", "ELL"])
+    @pytest.mark.parametrize("fmt", ["DEN", "CSR", "ELL", "SELL"])
     def test_bitwise_identical_to_serial(self, big_sparse, rng, fmt):
         m = from_dense(big_sparse, fmt)
         vectors = _sparse_vectors(rng, 150, 3)
