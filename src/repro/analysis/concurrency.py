@@ -3,7 +3,7 @@
 The serving stack shares mutable state across request threads and
 ``ThreadPoolExecutor`` workers — engine format swaps, decision caches,
 metric stores, audit logs.  The convention protecting that state is a
-per-object ``self._lock`` and the disjoint row-block discipline for
+per-object ``self._lock`` and the disjoint-block discipline for
 worker closures; these rules check the convention from source the way
 RDL001–RDL008 check dtype and hot-loop discipline:
 

@@ -321,23 +321,23 @@ def cls_tracked(cls: Type) -> Tuple[str, ...]:
 
 
 def check_disjoint_blocks(blocks: Sequence[Tuple[int, int]], m: int) -> None:
-    """Assert a row-block partition is disjoint and within ``[0, m)``.
+    """Assert a block partition is disjoint and within ``[0, m)``.
 
-    The parallel kernels are race-free *by construction* because every
-    closure writes only its own ``y[s:e]`` slice; this is the runtime
-    check of that construction (descriptors cannot see NumPy element
-    writes).  Called by ``repro.parallel.kernels`` only when the
+    The parallel kernel is race-free *by construction* because every
+    closure writes only its own ``[s:e]`` output slice; this is the
+    runtime check of that construction (descriptors cannot see NumPy
+    element writes).  Called by ``repro.parallel.kernels`` only when the
     sanitizer is enabled.
     """
     prev_end = 0
     for s, e in blocks:
         if not 0 <= s <= e <= m:
             raise RaceError(
-                f"row block [{s}, {e}) escapes the output range [0, {m})"
+                f"block [{s}, {e}) escapes the output range [0, {m})"
             )
         if s < prev_end:
             raise RaceError(
-                f"row block [{s}, {e}) overlaps the previous block "
+                f"block [{s}, {e}) overlaps the previous block "
                 f"(ends at {prev_end}); workers would write shared slices"
             )
         prev_end = e

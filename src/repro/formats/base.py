@@ -147,7 +147,7 @@ def _scatter(
 
     The one scatter of :meth:`MatrixFormat.smsv` (row 0),
     :meth:`MatrixFormat.smsv_multi` (the ``(N, k)`` transposed view) and
-    the :mod:`repro.parallel` splits of both; the block's bytes count as
+    its :mod:`repro.parallel` split; the block's bytes count as
     written.  C-order, so each scatter writes a contiguous row and each
     column of the transposed view that the format kernels gather from
     is contiguous too.
@@ -265,7 +265,7 @@ class MatrixFormat(abc.ABC):
     ) -> None:
         """Record one product: a matvec (``k=1``, ``spmm=False``) or a
         ``k``-column matmat.  The serial kernels and the
-        :mod:`repro.parallel` paths that split them both count here, so
+        :mod:`repro.parallel` split of DEN's matmat both count here, so
         a split product records exactly what the serial one does."""
         if counter is None:
             return

@@ -108,18 +108,6 @@ class CSRMatrix(MatrixFormat):
         """``dim_i`` for every row — the quantity behind mdim/adim/vdim."""
         return np.diff(self.row_ptr)
 
-    def _row_block(self, s: int, e: int) -> "CSRMatrix":
-        """Rows ``[s, e)`` as a CSR matrix on views of this one's
-        payload: its kernels compute exactly those rows of this
-        matrix's products (:mod:`repro.parallel`'s row-block split)."""
-        lo, hi = int(self.row_ptr[s]), int(self.row_ptr[e])
-        return CSRMatrix(
-            self.values[lo:hi],
-            self.col_idx[lo:hi],
-            self.row_ptr[s : e + 1] - lo,
-            (e - s, self.shape[1]),
-        )
-
     # -- kernels ------------------------------------------------------
     def _sweep_cost(self, k: int) -> Tuple[int, int]:
         return 2 * self.nnz * k, (

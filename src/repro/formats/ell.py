@@ -114,18 +114,6 @@ class ELLMatrix(MatrixFormat):
     def _backing_arrays(self) -> Tuple[np.ndarray, ...]:
         return (self.data, self.indices, self.row_lengths)
 
-    def _row_block(self, s: int, e: int) -> "ELLMatrix":
-        """Rows ``[s, e)`` as an ELL matrix on views of this one's
-        arrays, keeping this matrix's padded width: its kernels compute
-        exactly those rows of this matrix's products
-        (:mod:`repro.parallel`'s row-block split)."""
-        return ELLMatrix(
-            self.data[s:e],
-            self.indices[s:e],
-            self.row_lengths[s:e],
-            (e - s, self.shape[1]),
-        )
-
     # -- kernels ------------------------------------------------------
     def _sweep_cost(self, k: int) -> Tuple[int, int]:
         padded = self.data.size

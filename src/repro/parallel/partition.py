@@ -2,9 +2,8 @@
 
 Partitioning quality matters for the same reason ``vdim`` matters in the
 paper: unbalanced chunks leave lanes (or threads) idle.  ``row_blocks``
-does contiguous equal-count splits (right for DEN/ELL/DIA where work per
-row is uniform); ``balanced_chunks`` does weighted splits (right for
-CSR/COO where work per row is ``dim_i``); ``greedy_bins`` does
+does contiguous equal-count splits (right where every item costs the
+same, as DEN's right-hand-side columns do); ``greedy_bins`` does
 *non-contiguous* weighted assignment (right for placing whole models
 onto fleet shards, where nothing forces adjacent models together).
 """
@@ -16,18 +15,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.formats.base import VALUE_DTYPE
-
-#: Smallest row block worth a pool dispatch.
-DEFAULT_MIN_ROWS_PER_BLOCK = 256
-
-
-def default_min_rows_per_block() -> int:
-    """Partition granularity of the parallel kernels: 256 rows.
-
-    Every parallel kernel that is not given an explicit granularity
-    resolves through here.
-    """
-    return DEFAULT_MIN_ROWS_PER_BLOCK
 
 
 def row_blocks(n_rows: int, n_blocks: int) -> List[Tuple[int, int]]:
@@ -56,57 +43,6 @@ def row_blocks(n_rows: int, n_blocks: int) -> List[Tuple[int, int]]:
     return blocks
 
 
-def balanced_chunks(
-    weights: Sequence[float] | np.ndarray, n_blocks: int
-) -> List[Tuple[int, int]]:
-    """Split indices into contiguous blocks of roughly equal total weight.
-
-    A greedy prefix-sum partitioner: cheap (O(n)) and within a factor
-    ~(1 + max_weight/ideal) of the optimum, which is all a thread pool
-    needs.  Used to split CSR row ranges by ``dim_i`` so one dense row
-    cannot serialise the whole SMSV.
-
-    >>> balanced_chunks([1, 1, 1, 9], 2)
-    [(0, 3), (3, 4)]
-    """
-    w = np.asarray(weights, dtype=VALUE_DTYPE)
-    if w.ndim != 1:
-        raise ValueError("weights must be one-dimensional")
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
-    n = w.shape[0]
-    if n == 0:
-        return []
-    total = float(w.sum())
-    if total <= 0.0:
-        return row_blocks(n, n_blocks)
-    ideal = total / n_blocks
-    blocks: List[Tuple[int, int]] = []
-    start = 0
-    acc = 0.0
-    for i in range(n):
-        acc_new = acc + float(w[i])
-        if len(blocks) < n_blocks - 1 and acc_new >= ideal:
-            # Close either before or after item i, whichever lands the
-            # block total nearer the ideal (a heavy item should start
-            # its own block rather than bloat the current one).
-            overshoot = acc_new - ideal
-            undershoot = ideal - acc
-            if overshoot > undershoot and i > start:
-                blocks.append((start, i))
-                start = i
-                acc = float(w[i])
-            else:
-                blocks.append((start, i + 1))
-                start = i + 1
-                acc = 0.0
-        else:
-            acc = acc_new
-    if start < n:
-        blocks.append((start, n))
-    return blocks
-
-
 def greedy_bins(
     weights: Sequence[float] | np.ndarray, n_bins: int
 ) -> List[int]:
@@ -114,7 +50,7 @@ def greedy_bins(
 
     Longest-processing-time greedy: items are placed heaviest-first
     into the currently lightest bin (ties to the lowest bin id, so the
-    assignment is deterministic).  Unlike :func:`balanced_chunks` the
+    assignment is deterministic).  Unlike :func:`row_blocks` the
     assignment is not contiguous — this is the placement primitive for
     mapping served models onto fleet shards by expected load, where
     the classic 4/3-approximation bound is plenty.

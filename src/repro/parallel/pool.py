@@ -1,9 +1,10 @@
-"""Thread-pool execution over row blocks.
+"""Thread-pool execution over disjoint blocks.
 
 A deliberately small wrapper around :class:`concurrent.futures.
-ThreadPoolExecutor`: the format kernels hand it closures over disjoint
-row blocks writing into disjoint output slices, which is data-race free
-by construction (the same discipline the paper's OpenMP loops rely on).
+ThreadPoolExecutor`: the parallel kernel hands it closures over
+disjoint blocks writing into disjoint output slices, which is data-race
+free by construction (the same discipline the paper's OpenMP loops rely
+on).
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class WorkerPool:
         """Whether a ThreadPoolExecutor has actually been constructed.
 
         The serial fast path (``n_workers == 1`` or a single work item)
-        never constructs one; the row-block kernels assert this so a
-        one-block partition costs zero threading overhead.
+        never constructs one; the parallel kernel's tests assert this so
+        a one-block partition costs zero threading overhead.
         """
         with self._lock:
             return self._executor is not None

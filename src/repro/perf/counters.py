@@ -41,9 +41,9 @@ class OpCounter:
         carried.  ``spmm_columns / spmm_calls`` is the achieved batch
         width — the quantity the ``batch_k`` cost-model knob predicts.
     parallel_blocks / parallel_work_total / parallel_work_max:
-        Row-block partition accounting from :mod:`repro.parallel`:
-        blocks dispatched, their summed work weight (non-zeros for
-        weighted formats, rows otherwise), and the heaviest single
+        Block partition accounting from :mod:`repro.parallel`'s DEN
+        column split: blocks dispatched, their summed work weight
+        (stored elements, ``M`` per column), and the heaviest single
         block seen.  ``parallel_work_max * parallel_blocks /
         parallel_work_total`` ~ 1 means the partition was balanced; a
         large value means one hot block would have serialised the pool.
@@ -102,7 +102,7 @@ class OpCounter:
             self.spmm_columns += int(k)
 
     def add_parallel_blocks(self, block_work) -> None:
-        """Record one row-block partition's per-block work weights."""
+        """Record one block partition's per-block work weights."""
         work = [int(w) for w in block_work]
         if not work:
             return

@@ -395,11 +395,8 @@ def smo_train(
             and sub.storage_elements() >= DEN_PAIR_MIN_ELEMENTS
         ):
             # One full-matrix GEMV per column, one column per core: the
-            # serial kernel's bits (min_rows_per_block=1: the element
-            # floor already judged the size).
-            dots = parallel_smsv_multi(
-                sub, pair, min_rows_per_block=1, counter=counter
-            )
+            # serial kernel's bits.
+            dots = parallel_smsv_multi(sub, pair, counter=counter)
         else:
             dots = sub.smsv_multi(pair, counter)
         block = kernel.transform(

@@ -18,7 +18,7 @@ from repro.data.synthetic import uniform_rows_matrix
 from repro.formats.convert import convert, from_dense
 from repro.obs.audit import audit_dataset, audit_log
 from repro.obs.trace import span_tree
-from repro.parallel.kernels import parallel_matvec
+from repro.parallel.kernels import parallel_matmat
 from repro.parallel.pool import WorkerPool
 from repro.serve.bench import CLASSIC_SERVE_FORMATS, flip_model
 from repro.serve.loadgen import open_loop, query_sampler
@@ -155,20 +155,16 @@ class TestParallelInstrumentation:
     def test_parallel_region_span_and_shard_merged_metrics(
         self, global_tracer, global_registry
     ):
-        rows, cols, values, shape = uniform_rows_matrix(
-            2048, 64, 8, seed=2
-        )
-        from repro.formats.csr import CSRMatrix
-
-        matrix = CSRMatrix.from_coo(rows, cols, values, shape)
-        x = np.ones(shape[1])
+        rng = np.random.default_rng(2)
+        matrix = from_dense(rng.standard_normal((512, 64)), "DEN")
+        V = rng.standard_normal((64, 2))
         with WorkerPool(2) as pool:
-            y = parallel_matvec(matrix, x, pool=pool)
-        assert np.allclose(y, matrix.matvec(x))
-        regions = _spans(global_tracer, "parallel.matvec")
+            Y = parallel_matmat(matrix, V, pool=pool)
+        np.testing.assert_array_equal(Y, matrix.matmat(V))
+        regions = _spans(global_tracer, "parallel.matmat")
         assert len(regions) == 1
         attrs = dict(regions[0].attrs)
-        assert attrs["fmt"] == "CSR"
+        assert attrs["fmt"] == "DEN"
         assert attrs["n_blocks"] == 2
         blocks = global_registry.get("repro_parallel.blocks")
         seconds = global_registry.get("repro_parallel.block_seconds")

@@ -5,12 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    WorkerPool,
-    balanced_chunks,
-    parallel_map,
-    row_blocks,
-)
+from repro.parallel import WorkerPool, parallel_map, row_blocks
 from repro.parallel.pool import _worker_cap, default_workers
 
 
@@ -40,39 +35,6 @@ class TestRowBlocks:
             row_blocks(-1, 2)
         with pytest.raises(ValueError):
             row_blocks(5, 0)
-
-
-class TestBalancedChunks:
-    def test_balances_weighted_rows(self):
-        blocks = balanced_chunks([1, 1, 1, 9], 2)
-        assert blocks == [(0, 3), (3, 4)]
-
-    def test_covers_everything(self):
-        rng = np.random.default_rng(0)
-        w = rng.random(57)
-        blocks = balanced_chunks(w, 5)
-        covered = [i for s, e in blocks for i in range(s, e)]
-        assert covered == list(range(57))
-
-    def test_weights_roughly_balanced(self):
-        rng = np.random.default_rng(1)
-        w = rng.random(1000)
-        blocks = balanced_chunks(w, 4)
-        sums = [w[s:e].sum() for s, e in blocks]
-        assert max(sums) / min(sums) < 1.5
-
-    def test_zero_weights_fall_back(self):
-        blocks = balanced_chunks(np.zeros(8), 2)
-        assert blocks == [(0, 4), (4, 8)]
-
-    def test_empty(self):
-        assert balanced_chunks([], 3) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            balanced_chunks([1.0], 0)
-        with pytest.raises(ValueError):
-            balanced_chunks(np.ones((2, 2)), 2)
 
 
 class TestWorkerPool:

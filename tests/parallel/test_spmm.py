@@ -1,4 +1,4 @@
-"""Row-block parallel SpMM: serial identity, serial fast path."""
+"""DEN column-split SpMM: serial identity, serial fast path."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.parallel import (
     parallel_matmat,
     parallel_smsv_multi,
 )
+from repro.perf.counters import OpCounter
 
 
 @pytest.fixture
@@ -36,9 +37,10 @@ class TestParallelMatmat:
         m = from_dense(big_sparse, fmt)
         V = rng.standard_normal((150, 3))
         with WorkerPool(workers) as pool:
-            Y = parallel_matmat(m, V, pool=pool, min_rows_per_block=100)
-        # Blocks run the serial column recipe on contiguous slices, so
-        # the result is exactly the serial one — not just close.
+            Y = parallel_matmat(m, V, pool=pool)
+        # DEN's blocks run the serial kernel on contiguous column
+        # slices and the other formats run it whole, so the result is
+        # exactly the serial one — not just close.
         np.testing.assert_array_equal(Y, m.matmat(V))
 
     @pytest.mark.parametrize("shape", [(1500, 1250), (333, 77)])
@@ -49,7 +51,7 @@ class TestParallelMatmat:
         m = from_dense(rng.standard_normal(shape), "DEN")
         V = rng.standard_normal((shape[1], 3))
         with WorkerPool(workers) as pool:
-            Y = parallel_matmat(m, V, pool=pool, min_rows_per_block=50)
+            Y = parallel_matmat(m, V, pool=pool)
         np.testing.assert_array_equal(Y, m.matmat(V))
 
     @pytest.mark.parametrize("fmt", ["COO", "DIA"])
@@ -57,15 +59,13 @@ class TestParallelMatmat:
         m = from_dense(big_sparse[:100], fmt)
         V = rng.standard_normal((150, 2))
         with WorkerPool(4) as pool:
-            Y = parallel_matmat(m, V, pool=pool, min_rows_per_block=10)
+            Y = parallel_matmat(m, V, pool=pool)
         np.testing.assert_array_equal(Y, m.matmat(V))
 
     def test_k_zero_falls_back(self, big_sparse):
-        m = from_dense(big_sparse, "CSR")
+        m = from_dense(big_sparse, "DEN")
         with WorkerPool(4) as pool:
-            Y = parallel_matmat(
-                m, np.zeros((150, 0)), pool=pool, min_rows_per_block=10
-            )
+            Y = parallel_matmat(m, np.zeros((150, 0)), pool=pool)
         assert Y.shape == (2000, 0)
 
     def test_shape_validation(self, big_sparse, rng):
@@ -73,25 +73,35 @@ class TestParallelMatmat:
         with pytest.raises(ValueError, match="matmat expects"):
             parallel_matmat(m, rng.standard_normal((3, 2)))
 
-    def test_single_block_skips_executor(self, rng):
-        # Satellite contract: one block (small matrix) must never
-        # construct a ThreadPoolExecutor.
-        a = rng.standard_normal((50, 10))
-        m = from_dense(a, "CSR")
+    def test_single_block_skips_executor(self, big_sparse, rng):
+        # One block (a single column) must never construct a
+        # ThreadPoolExecutor.
+        m = from_dense(big_sparse, "DEN")
+        V = rng.standard_normal((150, 1))
         pool = WorkerPool(4)
-        Y = parallel_matmat(m, rng.standard_normal((10, 2)), pool=pool)
-        assert not pool.executor_active
-        assert Y.shape == (50, 2)
-        pool.shutdown()
-
-    def test_single_worker_skips_executor(self, big_sparse, rng):
-        m = from_dense(big_sparse, "CSR")
-        V = rng.standard_normal((150, 2))
-        pool = WorkerPool(1)
-        Y = parallel_matmat(m, V, pool=pool, min_rows_per_block=100)
+        Y = parallel_matmat(m, V, pool=pool)
         assert not pool.executor_active
         np.testing.assert_array_equal(Y, m.matmat(V))
         pool.shutdown()
+
+    def test_single_worker_skips_executor(self, big_sparse, rng):
+        m = from_dense(big_sparse, "DEN")
+        V = rng.standard_normal((150, 2))
+        pool = WorkerPool(1)
+        Y = parallel_matmat(m, V, pool=pool)
+        assert not pool.executor_active
+        np.testing.assert_array_equal(Y, m.matmat(V))
+        pool.shutdown()
+
+    def test_serial_fallback_forwards_counter(self, big_sparse, rng):
+        m = from_dense(big_sparse, "DEN")
+        V = rng.standard_normal((150, 2))
+        counter, serial = OpCounter(), OpCounter()
+        with WorkerPool(1) as pool:
+            Y = parallel_matmat(m, V, pool=pool, counter=counter)
+        np.testing.assert_array_equal(Y, m.matmat(V, serial))
+        assert counter.parallel_blocks == 0
+        assert counter == serial and serial.flops > 0
 
 
 class TestParallelSmsvMulti:
@@ -100,9 +110,7 @@ class TestParallelSmsvMulti:
         m = from_dense(big_sparse, fmt)
         vectors = _sparse_vectors(rng, 150, 3)
         with WorkerPool(4) as pool:
-            Y = parallel_smsv_multi(
-                m, vectors, pool=pool, min_rows_per_block=100
-            )
+            Y = parallel_smsv_multi(m, vectors, pool=pool)
         np.testing.assert_array_equal(Y, m.smsv_multi(vectors))
 
     def test_length_validation(self, big_sparse):
@@ -122,31 +130,21 @@ class TestCounterParity:
     """A split product records what the serial kernel it splits records:
     every ``OpCounter`` field but the ``parallel_*`` partition ones."""
 
-    OPS = ("matvec", "smsv", "matmat", "smsv_multi")
+    OPS = ("matmat", "smsv_multi")
 
     @staticmethod
     def _run(m, op, rng_seed, parallel):
-        from repro.parallel import parallel_matvec, parallel_smsv
-        from repro.perf.counters import OpCounter
-
         rng = np.random.default_rng(rng_seed)
         n = m.shape[1]
-        x = rng.standard_normal(n)
         V = rng.standard_normal((n, 3))
         vs = _sparse_vectors(rng, n, 2)
         counter = OpCounter()
+        arg = V if op == "matmat" else vs
         if not parallel:
-            args = {"matvec": x, "smsv": vs[0], "matmat": V}.get(op, vs)
-            out = getattr(m, op)(args, counter)
-            return out, counter
+            return getattr(m, op)(arg, counter), counter
+        split = {"matmat": parallel_matmat, "smsv_multi": parallel_smsv_multi}
         with WorkerPool(2) as pool:
-            kw = dict(pool=pool, min_rows_per_block=100, counter=counter)
-            out = {
-                "matvec": lambda: parallel_matvec(m, x, **kw),
-                "smsv": lambda: parallel_smsv(m, vs[0], **kw),
-                "matmat": lambda: parallel_matmat(m, V, **kw),
-                "smsv_multi": lambda: parallel_smsv_multi(m, vs, **kw),
-            }[op]()
+            out = split[op](m, arg, pool=pool, counter=counter)
         return out, counter
 
     @pytest.mark.parametrize("op", OPS)
@@ -155,11 +153,11 @@ class TestCounterParity:
         m = from_dense(big_sparse, fmt)
         ser, c_ser = self._run(m, op, 5, parallel=False)
         par, c_par = self._run(m, op, 5, parallel=True)
-        if fmt == "DEN" and op in ("matvec", "smsv"):
-            # DEN never splits a single GEMV's rows: the serial path.
-            assert c_par.parallel_blocks == 0
+        if fmt == "DEN":
+            assert c_par.parallel_blocks == 2  # the split path ran
+            assert c_par.parallel_work_total == m.shape[0] * ser.shape[1]
         else:
-            assert c_par.parallel_blocks >= 2  # the split path ran
+            assert c_par.parallel_blocks == 0  # the serial kernel ran
         assert np.array_equal(ser, par)
         for name in c_ser.field_names():
             if not name.startswith("parallel_"):

@@ -31,10 +31,6 @@ from repro.formats.reorder import RSELLMatrix
 from repro.formats.sell import DEFAULT_CHUNK, SELLMatrix
 from repro.obs.audit import audit_log
 from repro.obs.report import REPORT_DATASETS
-from repro.parallel.partition import (
-    DEFAULT_MIN_ROWS_PER_BLOCK,
-    default_min_rows_per_block,
-)
 from repro.parallel.pool import default_workers
 from repro.serve.rescheduler import FormatRescheduler
 from repro.svm.kernels import LinearKernel
@@ -460,7 +456,6 @@ class TestParentCacheCompat:
 
             # The retired entries are ignored by their old readers.
             assert default_workers() == max(1, os.cpu_count() or 1)
-            assert default_min_rows_per_block() == DEFAULT_MIN_ROWS_PER_BLOCK
             layouts = self._layouts(coo)
         assert "SELL" not in [entry[0] for entry in layouts[:2]]
         assert layouts[2] != "SELL"
