@@ -23,6 +23,8 @@ from repro.formats.base import (
     MatrixFormat,
     canonical_coords,
 )
+from repro.formats.reorder import sigma_window_permutation
+from repro.formats.sell import sell_padded_elements
 
 
 def profile_from_coo(
@@ -134,18 +136,6 @@ class LayoutFeatures:
     sell_sorted_padding_ratio: float
 
 
-def _sell_padded_count(lengths: np.ndarray, chunk: int) -> int:
-    m = lengths.shape[0]
-    n_slices = -(-m // chunk) if m else 0
-    if n_slices == 0:
-        return 0
-    padded = np.zeros(n_slices * chunk, dtype=np.int64)
-    padded[:m] = lengths
-    widths = padded.reshape(n_slices, chunk).max(axis=1)
-    heights = np.minimum(chunk, m - chunk * np.arange(n_slices))
-    return int((widths * heights).sum())
-
-
 def layout_features(
     row_lengths: np.ndarray,
     *,
@@ -177,19 +167,14 @@ def layout_features(
             sell_padding_ratio=1.0,
             sell_sorted_padding_ratio=1.0,
         )
-    if sigma is None:
-        sigma = max(m, 1)
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    window = np.arange(m, dtype=np.int64) // int(sigma)
-    order = np.lexsort((np.arange(m, dtype=np.int64), -lengths, window))
+    order = sigma_window_permutation(lengths, sigma)
     return LayoutFeatures(
         row_nnz_variance=vdim,
         row_nnz_cv=cv,
         ell_padding_ratio=m * mdim / nnz,
-        sell_padding_ratio=_sell_padded_count(lengths, chunk) / nnz,
+        sell_padding_ratio=sell_padded_elements(lengths, chunk) / nnz,
         sell_sorted_padding_ratio=(
-            _sell_padded_count(lengths[order], chunk) / nnz
+            sell_padded_elements(lengths[order], chunk) / nnz
         ),
     )
 

@@ -70,6 +70,17 @@ def slice_widths_for(row_lengths: np.ndarray, chunk: int) -> np.ndarray:
     return padded.reshape(n_slices, chunk).max(axis=1)
 
 
+def sell_padded_elements(row_lengths: np.ndarray, chunk: int) -> int:
+    """Stored slots of SELL-C over given row lengths, padding included:
+    ``sum_s C_s * w_s`` (the last slice's height ``C_s`` may be short).
+    """
+    lengths = np.asarray(row_lengths, dtype=np.int64)
+    widths = slice_widths_for(lengths, chunk)
+    m = lengths.shape[0]
+    heights = np.minimum(chunk, m - chunk * np.arange(widths.shape[0]))
+    return int((widths * heights).sum())
+
+
 def sell_storage_elements(row_lengths: np.ndarray, chunk: int) -> int:
     """Analytic storage count for SELL-C over given row lengths.
 
@@ -77,12 +88,9 @@ def sell_storage_elements(row_lengths: np.ndarray, chunk: int) -> int:
     plus the slice-pointer table (n_slices + 1) plus the per-row length
     array needed to delimit the valid prefix of each padded row.
     """
-    lengths = np.asarray(row_lengths, dtype=np.int64)
-    widths = slice_widths_for(lengths, chunk)
-    m = lengths.shape[0]
-    heights = np.minimum(chunk, m - chunk * np.arange(widths.shape[0]))
-    padded = int((widths * heights).sum())
-    return 2 * padded + widths.shape[0] + 1 + m
+    padded = sell_padded_elements(row_lengths, chunk)
+    m = len(row_lengths)
+    return 2 * padded + -(-m // chunk) + 1 + m
 
 
 class SELLMatrix(MatrixFormat):
@@ -238,33 +246,6 @@ class SELLMatrix(MatrixFormat):
 
     def _backing_arrays(self) -> Tuple[np.ndarray, ...]:
         return (self.data, self.indices, self.row_lengths)
-
-    def _row_block(self, s: int, e: int) -> "SELLMatrix":
-        """Rows ``[s, e)`` as a SELL matrix on views of this one's
-        arrays: its kernels compute exactly those rows of this matrix's
-        products (:mod:`repro.parallel`'s row-block split).
-
-        ``s`` must start a slice and ``e`` end one (or the matrix), so
-        the block's slices are this matrix's, widths still tight.  The
-        block skips ``__init__``: re-deriving its padding mask would
-        cost a pass over its slots, as much as the product itself.
-        """
-        C = self.chunk
-        if s % C or (e % C and e != self.shape[0]):
-            raise ValueError(f"rows [{s}, {e}) do not cover whole slices")
-        lo, hi = int(self.row_starts[s]), int(self.row_starts[e])
-        block = object.__new__(SELLMatrix)
-        block.data = self.data[lo:hi]
-        block.indices = self.indices[lo:hi]
-        block.row_lengths = self.row_lengths[s:e]
-        block.chunk = C
-        block.slice_widths = self.slice_widths[s // C : -(-e // C)]
-        block.row_starts = self.row_starts[s : e + 1] - lo
-        block._valid = self._valid[lo:hi]
-        block._csr_starts = self._csr_starts[s : e + 1] - self._csr_starts[s]
-        block.shape = (e - s, self.shape[1])
-        block._sanitize_check()
-        return block
 
     # -- kernels ------------------------------------------------------
     def _sweep_cost(self, k: int) -> Tuple[int, int]:
