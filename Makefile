@@ -5,19 +5,14 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: lint race test test-sanitize test-trace test-race paper-shapes bench bench-smoke obs-report-smoke tune wall-bench-smoke check
+.PHONY: lint test test-sanitize test-trace test-race paper-shapes bench bench-smoke obs-report-smoke tune wall-bench-smoke check
 
-## Static analysis: the twelve RDL rules over the library, its tests,
-## the paper-shape benchmarks and the examples, JSON mode, non-zero
-## exit on any finding.  See docs/analysis.md.
+## Static analysis: every RDL rule (the concurrency family RDL009-RDL012
+## included) over the library, its tests, the paper-shape benchmarks
+## and the examples, JSON mode, non-zero exit on any finding.  See
+## docs/analysis.md.
 lint:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis src tests benchmarks examples
-
-## Static race report: only the concurrency rules (RDL009-RDL012) over
-## the shipped sources — lock discipline, executor closure escapes,
-## lock ordering, double-checked init.
-race:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro race --json src
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro lint --json src tests benchmarks examples
 
 ## Tier-1 test suite.
 test:
@@ -88,4 +83,4 @@ wall-bench-smoke:
 	$(PYTHON) -m bench run --smoke
 
 ## Everything CI gates on.
-check: lint race test test-sanitize test-trace test-race paper-shapes obs-report-smoke bench-smoke wall-bench-smoke
+check: lint test test-sanitize test-trace test-race paper-shapes obs-report-smoke bench-smoke wall-bench-smoke

@@ -7,11 +7,12 @@ cache keys — are stated in docstrings but were historically enforced by
 nothing.  This package enforces them with two cooperating layers:
 
 - :mod:`repro.analysis.lint` — an AST-based lint pass with the
-  repo-specific rule catalogue RDL001–RDL012 (``repro lint``).
-  RDL001–RDL008 live in :mod:`repro.analysis.rules`; the concurrency
-  family RDL009–RDL012 (lock discipline, closure escapes, lock order,
-  double-checked init) lives in :mod:`repro.analysis.concurrency` and
-  is also runnable on its own via ``repro race``.
+  repo-specific rule catalogue (``repro lint``, the one way to run
+  it).  RDL001–RDL008 live in :mod:`repro.analysis.rules`; the
+  concurrency family RDL009–RDL012 (lock discipline, closure escapes,
+  lock order, double-checked init) lives in
+  :mod:`repro.analysis.concurrency`.  Codes 3 and 7 are retired
+  (RDL010 and RDL004 absorbed them) and never reused.
 - :mod:`repro.analysis.sanitize` — a runtime sanitizer that validates
   the structural invariants of every storage format (CSR indptr
   monotonicity, COO canonical ordering, ELL padding, DIA offset bounds,
@@ -22,8 +23,8 @@ nothing.  This package enforces them with two cooperating layers:
   :func:`track_shared` field tracking report shared fields touched by
   two threads under disjoint locksets.  Free when disabled.
 
-``python -m repro.analysis src tests`` is the CI entry point: it lints
-in JSON mode and exits non-zero on any finding.
+``repro lint --json src tests benchmarks examples`` is what CI runs:
+JSON output, non-zero exit on any finding.
 """
 
 from repro.analysis.lint import (

@@ -12,11 +12,10 @@ RDL001–RDL008 check dtype and hot-loop discipline:
   another method is a race.  A per-class call map lets private helpers
   whose every in-class call site holds the lock inherit the locked
   context (the ``_drain``-style "caller holds the lock" pattern).
-- **RDL010** — mutable state captured by a closure handed to an
-  executor (``ThreadPoolExecutor``/``WorkerPool``) escapes its thread;
-  mutating it without a lock is the race class RDL003 checks for
-  pool-hinted receivers, extended here to constructor-tracked executor
-  names and ``run()`` thunk lists, with lock-guarded mutations exempt.
+- **RDL010** — state captured by a closure handed to an executor
+  (``ThreadPoolExecutor``/``WorkerPool``/``parallel_map``) escapes its
+  thread; mutating it outside a lock, other than at an index derived
+  from the work item, is a race.
 - **RDL011** — two locks acquired in opposite nesting orders in the
   same class deadlock under contention; nesting one non-reentrant
   ``threading.Lock`` inside itself deadlocks unconditionally.
@@ -41,9 +40,6 @@ from repro.analysis.lint import Finding, Rule, _in_package, register
 #: serving/parallel path shares across threads.
 CONCURRENT_PACKAGES = ("serve", "parallel", "obs", "core", "tune")
 
-#: The concurrency rule family — what ``repro race`` selects.
-CONCURRENCY_CODES = ("RDL009", "RDL010", "RDL011", "RDL012")
-
 _LOCK_NAME = re.compile(r"lock|mutex|guard", re.IGNORECASE)
 
 #: Container methods that mutate their receiver in place.
@@ -66,21 +62,6 @@ _MUTATORS = frozenset(
         "reverse",
     }
 )
-
-#: Constructors whose result is shared-mutable when captured.
-_MUTABLE_CTORS = frozenset(
-    {
-        "list",
-        "dict",
-        "set",
-        "deque",
-        "defaultdict",
-        "bytearray",
-        "Counter",
-        "OrderedDict",
-    }
-)
-_MUTABLE_NP_CTORS = frozenset({"empty", "zeros", "ones", "full"})
 
 #: Executor types whose instances RDL010 tracks by assignment.
 _EXECUTOR_CTORS = frozenset(
@@ -366,9 +347,8 @@ class GuardedAttributeRule(Rule):
 class _ClosureEscape:
     """Mutation analysis of one closure escaping into an executor."""
 
-    def __init__(self, fn: ast.AST, mutable_outer: Set[str]) -> None:
+    def __init__(self, fn: ast.AST) -> None:
         self.fn = fn
-        self.mutable_outer = mutable_outer
         args = fn.args
         params: Set[str] = {
             a.arg
@@ -461,12 +441,8 @@ class _ClosureEscape:
                     out.update(id(n) for n in ast.walk(sub))
         return out
 
-    def _captured_mutable(self, name: str) -> bool:
-        return (
-            name not in self.params
-            and name not in self.assigned
-            and name in self.mutable_outer
-        )
+    def _captured(self, name: str) -> bool:
+        return name not in self.params and name not in self.assigned
 
     def violations(self) -> Iterator[Tuple[ast.AST, str]]:
         for node in self._body_walk():
@@ -492,10 +468,10 @@ class _ClosureEscape:
                     if (
                         isinstance(node, ast.AugAssign)
                         and isinstance(target, ast.Name)
-                        and self._captured_mutable(target.id)
+                        and self._captured(target.id)
                     ):
                         yield node, (
-                            f"augmented assignment to captured mutable "
+                            f"augmented assignment to captured "
                             f"{target.id!r} accumulates shared state "
                             f"without a lock"
                         )
@@ -503,7 +479,7 @@ class _ClosureEscape:
                         target.value, ast.Name
                     ):
                         base = target.value.id
-                        if not self._captured_mutable(base):
+                        if not self._captured(base):
                             continue
                         index_names = {
                             n.id
@@ -512,7 +488,7 @@ class _ClosureEscape:
                         }
                         if not (index_names & self.tainted):
                             yield node, (
-                                f"write to captured mutable {base!r} at "
+                                f"write to captured {base!r} at "
                                 f"an index not derived from the work "
                                 f"item; executor threads must write "
                                 f"disjoint slices or hold a lock"
@@ -522,130 +498,97 @@ class _ClosureEscape:
                 and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name)
                 and node.func.attr in _MUTATORS
-                and self._captured_mutable(node.func.value.id)
+                and self._captured(node.func.value.id)
             ):
                 yield node, (
                     f"mutating call .{node.func.attr}() on captured "
-                    f"mutable {node.func.value.id!r} races executor "
+                    f"{node.func.value.id!r} races executor "
                     f"threads without a lock"
                 )
 
 
 @register
 class ExecutorClosureEscapeRule(Rule):
-    """RDL010: mutable captures must not escape into executor closures."""
+    """RDL010: captured state must not escape into executor closures."""
 
     code = "RDL010"
     name = "executor-closure-escape"
     rationale = """
-    RDL003 checks closures handed to receivers *named* like a pool;
-    an executor bound to any other name — ``ex = ThreadPoolExecutor()``,
-    ``workers = WorkerPool(4)`` — escapes that net while running the
-    same GIL-releasing NumPy code on concurrent threads.  This rule
-    tracks executor identity by construction (``ThreadPoolExecutor`` /
-    ``WorkerPool`` / ``shared_pool()`` assignments) and inspects every
-    closure submitted via ``map``/``submit``/``run``: a captured
-    mutable container (list/dict/set/deque or a NumPy buffer) mutated
-    at an index not derived from the closure's own work item — and not
-    under a lock — is shared state racing across worker threads.  Lock-
-    guarded mutations and disjoint-slice writes are the two sanctioned
-    disciplines; anything else needs a justified noqa.
+    ``WorkerPool`` provides no locking by design: the parallel kernels
+    are race free *by construction* because every closure they submit
+    writes only into an output slice derived from its own work item
+    (the discipline the paper's OpenMP loops rely on), and NumPy
+    releasing the GIL makes any other shared write a real race.  This
+    rule inspects every closure handed to ``map``/``submit`` on a
+    receiver named like a pool or executor, or bound to one by
+    construction (``ex = ThreadPoolExecutor()``, ``workers =
+    WorkerPool(4)``, ``shared_pool()``), and every closure passed to
+    ``parallel_map``: a ``nonlocal``/``global`` write, an augmented
+    assignment, a mutating call, or an indexed write on a captured name
+    at an index not derived from the work item is shared state racing
+    across worker threads.  Lock-guarded mutations and disjoint-slice
+    writes are the two sanctioned disciplines; anything else needs a
+    justified noqa.
     """
 
     _POOL_HINT = re.compile(r"pool|executor", re.IGNORECASE)
 
-    def applies_to(self, path: str) -> bool:
-        return _in_package(
-            path, *CONCURRENT_PACKAGES, "svm", "formats", "dnn", "features"
-        )
-
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         defs: Dict[str, ast.AST] = {}
         executor_names: Set[str] = set()
-        mutable_names: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[node.name] = node
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                if self._is_executor_ctor(node.value):
-                    executor_names.add(target.id)
-                elif self._is_mutable_value(node.value):
-                    mutable_names.add(target.id)
+            elif (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and self._is_executor_ctor(node.value)
+            ):
+                executor_names.add(node.targets[0].id)
         for node in ast.walk(tree):
-            call = self._submission(node, executor_names)
-            if call is None:
+            if not self._submits(node, executor_names):
                 continue
-            for closure in self._closures(call, defs):
-                label = (
-                    "<lambda>"
-                    if isinstance(closure, ast.Lambda)
-                    else closure.name
+            closure = node.args[0]
+            if isinstance(closure, ast.Name):
+                closure = defs.get(closure.id)
+            if not isinstance(
+                closure, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            label = (
+                "<lambda>"
+                if isinstance(closure, ast.Lambda)
+                else closure.name
+            )
+            for bad, description in _ClosureEscape(closure).violations():
+                yield self.finding(
+                    path,
+                    bad,
+                    f"closure {label!r} escapes into an executor: "
+                    f"{description}",
                 )
-                escape = _ClosureEscape(closure, mutable_names)
-                for bad, description in escape.violations():
-                    yield self.finding(
-                        path,
-                        bad,
-                        f"closure {label!r} escapes into an executor: "
-                        f"{description}",
-                    )
 
-    # -- what counts as a submission ------------------------------------
-    def _submission(
-        self, node: ast.AST, executor_names: Set[str]
-    ) -> Optional[ast.Call]:
+    def _submits(self, node: ast.AST, executor_names: Set[str]) -> bool:
+        """Whether ``node`` hands its first argument to worker threads."""
         if not isinstance(node, ast.Call) or not node.args:
-            return None
+            return False
         func = node.func
-        if not isinstance(func, ast.Attribute):
-            return None
+        if isinstance(func, ast.Name):
+            return func.id == "parallel_map"
+        if not isinstance(func, ast.Attribute) or func.attr not in (
+            "map",
+            "submit",
+        ):
+            return False
         recv = func.value
-        hinted = False
-        tracked = False
         if isinstance(recv, ast.Name):
-            hinted = bool(self._POOL_HINT.search(recv.id))
-            tracked = recv.id in executor_names
-        elif isinstance(recv, ast.Attribute):
-            hinted = bool(self._POOL_HINT.search(recv.attr))
-        if func.attr in ("map", "submit"):
-            # Hinted receivers are RDL003's beat; only the names it
-            # cannot see (constructor-tracked, unhinted) are ours.
-            if tracked and not hinted:
-                return node
-            return None
-        if func.attr == "run" and (hinted or tracked):
-            return node
-        return None
-
-    def _closures(
-        self, call: ast.Call, defs: Dict[str, ast.AST]
-    ) -> Iterator[ast.AST]:
-        if not isinstance(call.func, ast.Attribute):
-            return
-        if call.func.attr == "run":
-            arg = call.args[0]
-            items = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else []
-            for item in items:
-                resolved = self._resolve(item, defs)
-                if resolved is not None:
-                    yield resolved
-            return
-        resolved = self._resolve(call.args[0], defs)
-        if resolved is not None:
-            yield resolved
-
-    @staticmethod
-    def _resolve(
-        arg: ast.AST, defs: Dict[str, ast.AST]
-    ) -> Optional[ast.AST]:
-        if isinstance(arg, ast.Lambda):
-            return arg
-        if isinstance(arg, ast.Name):
-            return defs.get(arg.id)
-        return None
+            return recv.id in executor_names or bool(
+                self._POOL_HINT.search(recv.id)
+            )
+        if isinstance(recv, ast.Attribute):
+            return bool(self._POOL_HINT.search(recv.attr))
+        return False
 
     @staticmethod
     def _is_executor_ctor(value: ast.AST) -> bool:
@@ -660,24 +603,6 @@ class ExecutorClosureEscapeRule(Rule):
             else ""
         )
         return name in _EXECUTOR_CTORS or name in _EXECUTOR_FACTORIES
-
-    @staticmethod
-    def _is_mutable_value(value: ast.AST) -> bool:
-        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                              ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call):
-            f = value.func
-            if isinstance(f, ast.Name) and f.id in _MUTABLE_CTORS:
-                return True
-            if (
-                isinstance(f, ast.Attribute)
-                and isinstance(f.value, ast.Name)
-                and f.value.id in ("np", "numpy")
-                and f.attr in _MUTABLE_NP_CTORS
-            ):
-                return True
-        return False
 
 
 @register

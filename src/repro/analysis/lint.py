@@ -194,14 +194,26 @@ def _is_suppressed(
 def _select_rules(
     select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
 ) -> Tuple[Rule, ...]:
+    """The rules left after ``select``/``ignore``.
+
+    An unknown code raises rather than matching nothing: a typo'd or
+    retired code in ``--select`` would otherwise lint with no rules and
+    report success, the same fault :func:`iter_python_files` refuses
+    for a typo'd path.
+    """
     rules = iter_rules()
-    if select:
-        wanted = {c.upper() for c in select}
+    known = {r.code for r in rules}
+    wanted = {c.strip().upper() for c in select or ()}
+    dropped = {c.strip().upper() for c in ignore or ()}
+    unknown = sorted((wanted | dropped) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown rule {', '.join(unknown)}; known rules: "
+            f"{', '.join(sorted(known))}"
+        )
+    if wanted:
         rules = tuple(r for r in rules if r.code in wanted)
-    if ignore:
-        dropped = {c.upper() for c in ignore}
-        rules = tuple(r for r in rules if r.code not in dropped)
-    return rules
+    return tuple(r for r in rules if r.code not in dropped)
 
 
 def lint_source(
@@ -277,6 +289,7 @@ def lint_paths(
     ignore: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
     """Lint every Python file under ``paths`` (files or directories)."""
+    _select_rules(select, ignore)  # refuse unknown codes before any file
     findings: List[Finding] = []
     for file in iter_python_files(paths):
         findings.extend(lint_file(file, select=select, ignore=ignore))

@@ -7,21 +7,22 @@ whole tree lints clean without drowning unrelated code in noise.
 
 RDL001–RDL008 live here; the concurrency rules RDL009–RDL012 live in
 :mod:`repro.analysis.concurrency` (imported below so one import of
-this module registers the full catalogue).
+this module registers the full catalogue).  Codes 3 and 7 are
+retired: RDL010 and RDL004 absorbed them.  Retired codes are never
+reused, so a ``noqa`` naming one keeps meaning what it meant.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List
 
 from repro.analysis.lint import (
     Finding,
     Rule,
     _ends_with,
     _in_package,
-    _posix,
     register,
 )
 
@@ -34,10 +35,6 @@ from repro.analysis.lint import (
 KERNEL_METHODS = frozenset(
     {"matvec", "smsv", "row_norms_sq", "matmat", "smsv_multi"}
 )
-
-#: SpMM kernel methods that must report to the OpCounter (RDL007), the
-#: multi-vector mirror of RDL004's matvec/smsv scope.
-SPMM_METHODS = frozenset({"matmat", "smsv_multi"})
 
 #: Raw dtype spellings and the canonical alias each must use instead.
 RAW_DTYPES: Dict[str, str] = {
@@ -145,231 +142,6 @@ class RawDtypeLiteralRule(Rule):
                         )
 
 
-class _ClosureRace:
-    """Best-effort race analysis of one closure submitted to a pool."""
-
-    _MUTATORS = frozenset(
-        {
-            "append",
-            "extend",
-            "insert",
-            "add",
-            "update",
-            "setdefault",
-            "remove",
-            "discard",
-            "clear",
-            "pop",
-            "popitem",
-        }
-    )
-
-    def __init__(self, fn: ast.AST) -> None:
-        self.fn = fn
-        args = fn.args
-        params: Set[str] = {
-            a.arg
-            for a in (
-                list(args.posonlyargs)
-                + list(args.args)
-                + list(args.kwonlyargs)
-            )
-        }
-        if args.vararg:
-            params.add(args.vararg.arg)
-        if args.kwarg:
-            params.add(args.kwarg.arg)
-        self.params = params
-        self.assigned = self._assigned_names()
-        self.tainted = self._taint()
-
-    def _body_walk(self) -> Iterator[ast.AST]:
-        if isinstance(self.fn, ast.Lambda):
-            yield from ast.walk(self.fn.body)
-            return
-        for stmt in self.fn.body:
-            yield from ast.walk(stmt)
-
-    def _assigned_names(self) -> Set[str]:
-        out: Set[str] = set()
-        for node in self._body_walk():
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, ast.Store
-            ):
-                out.add(node.id)
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                target = node.target
-                for n in ast.walk(target):
-                    if isinstance(n, ast.Name):
-                        out.add(n.id)
-        return out
-
-    def _taint(self) -> Set[str]:
-        """Names derived (transitively) from the closure's parameters."""
-        tainted = set(self.params)
-        changed = True
-        while changed:
-            changed = False
-            for node in self._body_walk():
-                if not isinstance(node, ast.Assign):
-                    continue
-                value_names = {
-                    n.id
-                    for n in ast.walk(node.value)
-                    if isinstance(n, ast.Name)
-                }
-                if not (value_names & tainted):
-                    continue
-                for target in node.targets:
-                    for n in ast.walk(target):
-                        if (
-                            isinstance(n, ast.Name)
-                            and n.id not in tainted
-                        ):
-                            tainted.add(n.id)
-                            changed = True
-        return tainted
-
-    def _is_captured(self, name: str) -> bool:
-        return name not in self.params and name not in self.assigned
-
-    def violations(self) -> Iterator[tuple]:
-        """Yield ``(node, description)`` pairs for each race pattern."""
-        for node in self._body_walk():
-            if isinstance(node, (ast.Nonlocal, ast.Global)):
-                kind = (
-                    "nonlocal"
-                    if isinstance(node, ast.Nonlocal)
-                    else "global"
-                )
-                yield node, (
-                    f"{kind} write to {', '.join(node.names)} shares "
-                    f"state across workers"
-                )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(node, ast.AugAssign)
-                        and isinstance(target, ast.Name)
-                        and self._is_captured(target.id)
-                    ):
-                        yield node, (
-                            f"augmented assignment to captured "
-                            f"{target.id!r} accumulates shared state"
-                        )
-                    elif isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        base = target.value.id
-                        if not self._is_captured(base):
-                            continue
-                        index_names = {
-                            n.id
-                            for n in ast.walk(target.slice)
-                            if isinstance(n, ast.Name)
-                        }
-                        if not (index_names & self.tainted):
-                            yield node, (
-                                f"write to captured {base!r} at an "
-                                f"index not derived from the work item; "
-                                f"workers must write disjoint slices"
-                            )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.attr in self._MUTATORS
-                and self._is_captured(node.func.value.id)
-            ):
-                yield node, (
-                    f"mutating call .{node.func.attr}() on captured "
-                    f"{node.func.value.id!r} shares state across workers"
-                )
-
-
-@register
-class ParallelClosureCaptureRule(Rule):
-    """RDL003: worker closures must only write disjoint output slices."""
-
-    code = "RDL003"
-    name = "parallel-closure-capture"
-    rationale = """
-    ``WorkerPool`` provides no locking by design: the format kernels are
-    data-race free *by construction* because every closure they submit
-    writes only into an output slice derived from its own work item
-    (the discipline the paper's OpenMP loops rely on).  A closure that
-    mutates captured shared state — a nonlocal accumulator, a fixed
-    array slot, an append to a shared list — reintroduces exactly the
-    race class the construction was chosen to exclude, and NumPy
-    releasing the GIL makes such races real, not theoretical.  This rule
-    is a lightweight static race detector for closures handed to
-    ``WorkerPool.map``/``submit``/``parallel_map``.
-    """
-
-    _POOL_HINT = re.compile(r"pool|executor", re.IGNORECASE)
-    _POOL_FUNCS = frozenset({"parallel_map"})
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        defs: Dict[str, ast.AST] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[node.name] = node
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            submits = False
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "map",
-                "submit",
-            ):
-                receiver = func.value
-                hint = (
-                    receiver.id
-                    if isinstance(receiver, ast.Name)
-                    else receiver.attr
-                    if isinstance(receiver, ast.Attribute)
-                    else ""
-                )
-                submits = bool(self._POOL_HINT.search(hint))
-            elif isinstance(func, ast.Name) and func.id in self._POOL_FUNCS:
-                submits = True
-            if not submits:
-                continue
-            closure = self._resolve(node.args[0], defs)
-            if closure is None:
-                continue
-            label = (
-                "<lambda>"
-                if isinstance(closure, ast.Lambda)
-                else closure.name
-            )
-            for bad_node, description in _ClosureRace(
-                closure
-            ).violations():
-                yield self.finding(
-                    path,
-                    bad_node,
-                    f"closure {label!r} submitted to a worker pool: "
-                    f"{description}",
-                )
-
-    @staticmethod
-    def _resolve(
-        arg: ast.AST, defs: Dict[str, ast.AST]
-    ) -> Optional[ast.AST]:
-        if isinstance(arg, ast.Lambda):
-            return arg
-        if isinstance(arg, ast.Name):
-            return defs.get(arg.id)
-        return None
-
-
 @register
 class MissingOpCounterRule(Rule):
     """RDL004: kernels taking an OpCounter must actually report to it."""
@@ -385,15 +157,21 @@ class MissingOpCounterRule(Rule):
     (nor forwards the counter to a delegate kernel) reports zero traffic
     for real work — the hardware models then silently underestimate that
     format and the scheduler's ranking is corrupted without any test
-    failing.
+    failing.  The blocked multi-vector entry points (``matmat`` /
+    ``smsv_multi``) are in scope too: the ``batch_k`` knob and the
+    vector machine's ``count_multi`` price their amortisation from the
+    totals they report (``add_spmm`` plus the flop/byte accounting), so
+    a silent SpMM kernel leaves ``spmm_columns`` at zero.
     """
+
+    _COUNTED = frozenset({"matvec", "smsv", "matmat", "smsv_multi"})
 
     def applies_to(self, path: str) -> bool:
         return _in_package(path, "formats")
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for cls, fn in _class_methods(tree):
-            if fn.name not in ("matvec", "smsv"):
+            if fn.name not in self._COUNTED:
                 continue
             arg_names = {a.arg for a in fn.args.args}
             if "counter" not in arg_names:
@@ -451,49 +229,6 @@ class MissingOpCounterRule(Rule):
                 if isinstance(arg, ast.Name) and arg.id == "counter":
                     return True
         return False
-
-
-@register
-class MissingSpmmCounterRule(Rule):
-    """RDL007: SpMM kernels taking an OpCounter must report to it."""
-
-    code = "RDL007"
-    name = "missing-spmm-accounting"
-    rationale = """
-    The blocked multi-vector kernels (``matmat``/``smsv_multi``) exist
-    to amortise one matrix traversal over ``batch_k`` right-hand sides;
-    the cost model's ``batch_k`` knob and the vector-machine's
-    ``count_multi`` both price that amortisation from the byte and flop
-    totals the kernels report.  An SpMM kernel that accepts a
-    ``counter`` but never calls ``counter.add_*`` (``add_spmm`` plus the
-    flop/byte accounting, or forwarding the counter to a delegate
-    kernel) makes batched sweeps invisible: ``spmm_columns`` stays zero,
-    the single-vs-batched comparison in ``repro bench smsv`` loses its
-    audit trail, and the scheduler's batch-aware ranking is validated
-    against nothing.  This is RDL004's invariant extended to the
-    multi-vector entry points.
-    """
-
-    def applies_to(self, path: str) -> bool:
-        return _in_package(path, "formats")
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        for cls, fn in _class_methods(tree):
-            if fn.name not in SPMM_METHODS:
-                continue
-            arg_names = {a.arg for a in fn.args.args}
-            if "counter" not in arg_names:
-                continue
-            if MissingOpCounterRule._is_stub(fn):
-                continue  # abstract interface definitions
-            if not MissingOpCounterRule._accounts(fn):
-                yield self.finding(
-                    path,
-                    fn,
-                    f"SpMM kernel method {cls.name}.{fn.name} accepts "
-                    f"an OpCounter but never reports to it (no "
-                    f"counter.add_* call and counter not forwarded)",
-                )
 
 
 @register
@@ -634,7 +369,7 @@ class SwallowedExceptionRule(Rule):
     IO and CLI paths are where malformed user input surfaces; a bare
     ``except:`` there also traps ``KeyboardInterrupt`` and
     ``SystemExit``, and an ``except ValueError: pass`` turns a corrupt
-    LIBSVM or MatrixMarket file into a silently truncated dataset — the
+    LIBSVM file into a silently truncated dataset — the
     scheduler then profiles and trains on data that is wrong in a way no
     downstream check can see.  Handlers in IO/CLI code must re-raise
     with context, return an error status, or at minimum warn; bare

@@ -23,8 +23,6 @@ datasets  list the built-in Table V dataset clones
 table7    print the regenerated Table VII
 machines  list the hardware catalog (Table VII platforms + prices)
 lint      run the RDL static-analysis rules over source paths
-race      run only the concurrency rules (RDL009-RDL012) and report
-          lock-discipline findings
 ========  ==========================================================
 
 Every command is a thin shell over the public API, so scripts can do
@@ -644,22 +642,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     ignore = args.ignore.split(",") if args.ignore else None
     try:
         findings = lint_paths(paths, select=select, ignore=ignore)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    render = render_json if args.json else render_text
-    print(render(findings))
-    return 1 if findings else 0
-
-
-def _cmd_race(args: argparse.Namespace) -> int:
-    from repro.analysis import lint_paths, render_json, render_text
-    from repro.analysis.concurrency import CONCURRENCY_CODES
-
-    paths = args.paths or ["src"]
-    try:
-        findings = lint_paths(paths, select=list(CONCURRENCY_CODES))
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     render = render_json if args.json else render_text
@@ -1029,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the RDL static-analysis rules (RDL001-RDL012)",
+        help="run the RDL static-analysis rules",
     )
     p.add_argument(
         "paths",
@@ -1057,23 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "race",
-        help="static race report: run only the concurrency rules "
-        "(RDL009-RDL012) over source paths",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyse (default: src)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable output for CI gating",
-    )
-    p.set_defaults(func=_cmd_race)
 
     p = sub.add_parser("datasets", help="list Table V dataset clones")
     p.set_defaults(func=_cmd_datasets)

@@ -148,10 +148,6 @@ class WorkerPool:
             results[k] = future.result()
         return results
 
-    def run(self, thunks: Sequence[Callable[[], R]]) -> List[R]:
-        """Execute zero-argument closures, returning results in order."""
-        return self.map(lambda thunk: thunk(), thunks)
-
     def shutdown(self) -> None:
         """Join and drop the executor; idempotent and thread-safe.
 

@@ -15,7 +15,6 @@ import threading
 
 import repro
 from repro.analysis import lint_paths, lint_source
-from repro.analysis.concurrency import CONCURRENCY_CODES
 from repro.analysis.race import RaceSanitizer
 
 FLEET = "src/repro/serve/fleet.py"
@@ -174,6 +173,6 @@ class TestShippedFleetModulesAreClean:
                     "bench_fleet.py",
                 )
             ],
-            select=list(CONCURRENCY_CODES),
+            select=["RDL009", "RDL010", "RDL011", "RDL012"],
         )
         assert findings == [], [f.render() for f in findings]

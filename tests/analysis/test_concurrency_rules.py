@@ -1,10 +1,10 @@
 """Per-rule tests for the concurrency family RDL009-RDL012.
 
 Same conventions as ``test_lint_rules.py``: inline fixtures linted
-under virtual paths (the concurrency rules are scoped to the packages
-that share state across threads), one firing and one clean fixture per
-behaviour, and a tree self-check asserting the shipped sources are
-race-lint clean.
+under virtual paths (RDL009, RDL011 and RDL012 are scoped to the
+packages that share state across threads; RDL010 applies everywhere),
+one firing and one clean fixture per behaviour, and a tree self-check
+asserting the shipped sources are clean under the four rules.
 """
 
 import pathlib
@@ -12,12 +12,11 @@ import textwrap
 
 import repro
 from repro.analysis import lint_paths, lint_source
-from repro.analysis.concurrency import CONCURRENCY_CODES
 
 SERVE = "src/repro/serve/fake.py"
 PARALLEL = "src/repro/parallel/fake.py"
-SVM = "src/repro/svm/fake.py"
-DATA = "src/repro/data/fake.py"  # outside every concurrency scope
+DATA = "src/repro/data/fake.py"  # outside RDL009/RDL011/RDL012's scope
+CONCURRENCY_CODES = ["RDL009", "RDL010", "RDL011", "RDL012"]
 
 
 def lint(src, path, code):
@@ -201,9 +200,9 @@ class TestExecutorClosureEscape:
         """
         assert lint(src, PARALLEL, "RDL010") == []
 
-    def test_pool_hinted_receiver_is_rdl003_territory(self):
-        # A receiver whose name says pool/executor is RDL003's beat;
-        # RDL010 covers only the names RDL003 cannot see.
+    def test_pool_hinted_receiver_fires(self):
+        # A receiver named like a pool counts whether or not the rule
+        # saw it constructed.
         src = """
         def work(items):
             pool = ThreadPoolExecutor()
@@ -214,20 +213,7 @@ class TestExecutorClosureEscape:
 
             pool.map(job, items)
         """
-        assert lint(src, PARALLEL, "RDL010") == []
-
-    def test_run_thunks_on_hinted_pool_fire(self):
-        src = """
-        def work(pool):
-            acc = {}
-
-            def job():
-                acc.update(a=1)
-
-            pool.run([job])
-        """
-        findings = lint(src, SVM, "RDL010")
-        assert codes(findings) == ["RDL010"]
+        assert codes(lint(src, PARALLEL, "RDL010")) == ["RDL010"]
 
     def test_nonlocal_write_fires(self):
         src = """
@@ -245,7 +231,7 @@ class TestExecutorClosureEscape:
         assert codes(findings) == ["RDL010"]
         assert "nonlocal" in findings[0].message
 
-    def test_out_of_scope_package_is_skipped(self):
+    def test_applies_to_every_path(self):
         src = """
         def work(items):
             ex = ThreadPoolExecutor()
@@ -256,7 +242,8 @@ class TestExecutorClosureEscape:
 
             ex.map(job, items)
         """
-        assert lint(src, DATA, "RDL010") == []
+        for path in (DATA, "tests/test_fake.py", "examples/fake.py"):
+            assert codes(lint(src, path, "RDL010")) == ["RDL010"]
 
 
 # -- RDL011: inconsistent-lock-order ------------------------------------
@@ -433,11 +420,11 @@ class TestDoubleCheckedInit:
         assert lint(self.FIRES, DATA, "RDL012") == []
 
 
-# -- the shipped tree is race-lint clean ---------------------------------
+# -- the shipped tree is clean under the concurrency rules ---------------
 
 
 def test_repro_tree_is_concurrency_clean():
-    """`repro race` over the shipped package reports nothing.
+    """The four concurrency rules over the shipped package report nothing.
 
     Mirrors the RDL008 self-check: the concurrency rules run over the
     real sources, so a regression in lock discipline anywhere in

@@ -1,4 +1,4 @@
-"""CLI surfaces of the linter: ``repro lint`` and ``python -m repro.analysis``.
+"""The linter's one entry point, ``repro lint``, and its exit codes.
 
 Also the gate this whole subsystem exists for: the repo's own source
 tree must lint clean (every intentional exception carries a noqa).
@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.__main__ import main as analysis_main
 from repro.cli import main
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
@@ -82,8 +81,19 @@ class TestLintCommand:
         # zero files and report success.
         assert main(["lint", "no/such/path"]) == 2
         assert "no such file" in capsys.readouterr().err
-        assert analysis_main(["no/such/path"]) == 2
-        assert "no such file" in capsys.readouterr().err
+
+    def test_unknown_select_code_exits_2(self, bad_file, capsys):
+        # A typo'd or retired code would otherwise select no rules and
+        # report success, like a typo'd path.
+        for code in ("RDL0O1", "RDL013", *(f"RDL{n:03d}" for n in (3, 7))):
+            assert main(["lint", str(bad_file), "--select", code]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown rule {code}" in err
+            assert "known rules: RDL001" in err
+
+    def test_unknown_ignore_code_exits_2(self, bad_file, capsys):
+        assert main(["lint", str(bad_file), "--ignore", "RDL001,NOPE"]) == 2
+        assert "unknown rule NOPE" in capsys.readouterr().err
 
     def test_clean_file_passes(self, tmp_path, capsys):
         ok = tmp_path / "src" / "repro" / "formats" / "ok.py"
@@ -115,15 +125,17 @@ class TestExplain:
 
 
 class TestModuleEntryPoint:
+    """``python -m repro lint --json``: what the Makefile and CI run."""
+
     def test_json_and_exit_status(self, bad_file, capsys):
-        assert analysis_main([str(bad_file)]) == 1
+        assert main(["lint", "--json", str(bad_file)]) == 1
         blob = json.loads(capsys.readouterr().out)
         assert blob["count"] == 2
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         ok = tmp_path / "ok.py"
         ok.write_text("X = 1\n")
-        assert analysis_main([str(ok)]) == 0
+        assert main(["lint", "--json", str(ok)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
@@ -136,7 +148,13 @@ class BlockPool:
 '''
 
 
+#: The concurrency family, as a static race report selects it.
+RACE = "RDL009,RDL010,RDL011,RDL012"
+
+
 class TestRaceCommand:
+    """A static race report: ``repro lint --select`` the concurrency rules."""
+
     @pytest.fixture
     def racy_file(self, tmp_path):
         target = tmp_path / "src" / "repro" / "parallel" / "racy.py"
@@ -145,26 +163,29 @@ class TestRaceCommand:
         return target
 
     def test_src_tree_is_race_clean(self, capsys):
-        assert main(["race", str(REPO_ROOT / "src")]) == 0
+        assert main(["lint", "--select", RACE, str(REPO_ROOT / "src")]) == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_findings_fail_with_text_rendering(self, racy_file, capsys):
-        assert main(["race", str(racy_file)]) == 1
+        assert main(["lint", "--select", "RDL012", str(racy_file)]) == 1
         out = capsys.readouterr().out
         assert "RDL012" in out
         assert f"{racy_file}:3:" in out
 
     def test_json_mode_for_ci(self, racy_file, capsys):
-        assert main(["race", str(racy_file), "--json"]) == 1
+        assert (
+            main(["lint", "--select", "RDL012", str(racy_file), "--json"])
+            == 1
+        )
         blob = json.loads(capsys.readouterr().out)
         assert blob["ok"] is False
         assert blob["findings"][0]["code"] == "RDL012"
 
     def test_only_concurrency_rules_run(self, bad_file, capsys):
-        # RDL001/RDL004 territory: `repro race` must not report it.
-        assert main(["race", str(bad_file)]) == 0
+        # RDL001/RDL004 territory: the race report must not show it.
+        assert main(["lint", "--select", RACE, str(bad_file)]) == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_nonexistent_path_exits_2(self, capsys):
-        assert main(["race", "no/such/path"]) == 2
+        assert main(["lint", "--select", RACE, "no/such/path"]) == 2
         assert "no such file" in capsys.readouterr().err

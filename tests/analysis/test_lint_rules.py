@@ -41,9 +41,11 @@ def codes(findings):
 
 
 class TestEngine:
-    def test_registry_has_all_twelve_rules(self):
+    def test_registry_has_all_ten_rules(self):
+        # Codes 3 and 7 are retired (into RDL010 and RDL004) and never
+        # renumbered, so existing noqa comments keep their meaning.
         assert ALL_CODES == tuple(
-            f"RDL{i:03d}" for i in range(1, 13)
+            f"RDL{i:03d}" for i in (1, 2, 4, 5, 6, 8, 9, 10, 11, 12)
         )
         assert [r.code for r in iter_rules()] == list(ALL_CODES)
 
@@ -56,8 +58,10 @@ class TestEngine:
         assert get_rule("rdl001").code == "RDL001"
 
     def test_get_rule_unknown_raises_with_catalogue(self):
-        with pytest.raises(ValueError, match="RDL001"):
-            get_rule("RDL999")
+        # 3 and 7 are retired codes: unknown, never a different rule.
+        for number in (999, 3, 7):
+            with pytest.raises(ValueError, match="RDL001"):
+                get_rule(f"RDL{number:03d}")
 
     def test_syntax_error_becomes_rdl000(self):
         findings = lint_source("def broken(:\n", "src/repro/x.py")
@@ -86,9 +90,9 @@ class TestEngine:
         assert json.loads(render_json([]))["ok"] is True
 
     def test_explain_mirrors_explain_style(self):
-        text = explain_rule("RDL003")
-        assert text.startswith("RDL003 — parallel-closure-capture")
-        assert "suppress with: # repro: noqa RDL003" in text
+        text = explain_rule("RDL010")
+        assert text.startswith("RDL010 — executor-closure-escape")
+        assert "suppress with: # repro: noqa RDL010" in text
 
     def test_ignore_drops_a_rule(self):
         src = "try:\n    pass\nexcept:\n    pass\n"
@@ -251,7 +255,7 @@ class TestRawDtypeLiteral:
         assert lint(src, "src/repro/dnn/images.py", "RDL002") == []
 
 
-# -- RDL003: parallel-closure capture ----------------------------------
+# -- RDL010 on worker-pool closures (more in test_concurrency_rules.py) -
 
 
 class TestParallelClosureCapture:
@@ -267,8 +271,8 @@ class TestParallelClosureCapture:
             pool.map(work, items)
             return total
         """
-        findings = lint(src, NEUTRAL, "RDL003")
-        assert codes(findings) == ["RDL003"]
+        findings = lint(src, NEUTRAL, "RDL010")
+        assert codes(findings) == ["RDL010"]
         assert "nonlocal" in findings[0].message
 
     def test_fires_on_append_to_captured_list(self):
@@ -282,8 +286,8 @@ class TestParallelClosureCapture:
             pool.map(work, items)
             return results
         """
-        findings = lint(src, NEUTRAL, "RDL003")
-        assert codes(findings) == ["RDL003"]
+        findings = lint(src, NEUTRAL, "RDL010")
+        assert codes(findings) == ["RDL010"]
         assert "results" in findings[0].message
 
     def test_fires_on_fixed_index_write(self):
@@ -294,8 +298,8 @@ class TestParallelClosureCapture:
 
             executor.submit(work, items)
         """
-        findings = lint(src, NEUTRAL, "RDL003")
-        assert codes(findings) == ["RDL003"]
+        findings = lint(src, NEUTRAL, "RDL010")
+        assert codes(findings) == ["RDL010"]
         assert "disjoint" in findings[0].message
 
     def test_fires_via_parallel_map_lambda(self):
@@ -303,7 +307,7 @@ class TestParallelClosureCapture:
         def run(items, acc):
             parallel_map(lambda item: acc.update({item: 1}), items)
         """
-        assert codes(lint(src, NEUTRAL, "RDL003")) == ["RDL003"]
+        assert codes(lint(src, NEUTRAL, "RDL010")) == ["RDL010"]
 
     def test_clean_on_disjoint_slice_discipline(self):
         src = """
@@ -315,14 +319,14 @@ class TestParallelClosureCapture:
             pool.map(work, blocks)
             return y
         """
-        assert lint(src, NEUTRAL, "RDL003") == []
+        assert lint(src, NEUTRAL, "RDL010") == []
 
     def test_clean_on_pure_map(self):
         src = """
         def run(pool, items):
             return pool.map(lambda item: item * 2, items)
         """
-        assert lint(src, NEUTRAL, "RDL003") == []
+        assert lint(src, NEUTRAL, "RDL010") == []
 
     def test_non_pool_receiver_ignored(self):
         src = """
@@ -333,7 +337,7 @@ class TestParallelClosureCapture:
             mapping.map(work, items)
         """
         # receiver name carries no pool/executor hint -> out of scope
-        assert lint(src, NEUTRAL, "RDL003") == []
+        assert lint(src, NEUTRAL, "RDL010") == []
 
 
 # -- RDL004: missing OpCounter accounting ------------------------------
@@ -502,7 +506,7 @@ class TestSwallowedException:
         assert lint(src, DATA, "RDL006") == []
 
 
-# -- RDL007: missing SpMM OpCounter accounting -------------------------
+# -- RDL004 on the SpMM entry points (matmat/smsv_multi) ---------------
 
 
 class TestMissingSpmmCounter:
@@ -512,8 +516,8 @@ class TestMissingSpmmCounter:
             def matmat(self, V, counter=None):
                 return self.data @ V
         """
-        findings = lint(src, FORMATS, "RDL007")
-        assert codes(findings) == ["RDL007"]
+        findings = lint(src, FORMATS, "RDL004")
+        assert codes(findings) == ["RDL004"]
         assert "never reports" in findings[0].message
 
     def test_fires_on_silent_smsv_multi(self):
@@ -522,7 +526,7 @@ class TestMissingSpmmCounter:
             def smsv_multi(self, vectors, counter=None):
                 return self.data @ scatter(vectors)
         """
-        assert codes(lint(src, FORMATS, "RDL007")) == ["RDL007"]
+        assert codes(lint(src, FORMATS, "RDL004")) == ["RDL004"]
 
     def test_clean_when_add_spmm_called(self):
         src = """
@@ -533,7 +537,7 @@ class TestMissingSpmmCounter:
                     counter.add_spmm(V.shape[1])
                 return y
         """
-        assert lint(src, FORMATS, "RDL007") == []
+        assert lint(src, FORMATS, "RDL004") == []
 
     def test_clean_when_counter_forwarded(self):
         src = """
@@ -541,16 +545,7 @@ class TestMissingSpmmCounter:
             def smsv_multi(self, vectors, counter=None):
                 return self.matmat(scatter(vectors), counter)
         """
-        assert lint(src, FORMATS, "RDL007") == []
-
-    def test_single_vector_kernels_out_of_scope(self):
-        # matvec/smsv belong to RDL004, not RDL007.
-        src = """
-        class FakeMatrix:
-            def matvec(self, x, counter=None):
-                return self.data @ x
-        """
-        assert lint(src, FORMATS, "RDL007") == []
+        assert lint(src, FORMATS, "RDL004") == []
 
     def test_outside_formats_out_of_scope(self):
         src = """
@@ -558,7 +553,7 @@ class TestMissingSpmmCounter:
             def matmat(self, V, counter=None):
                 return self.inner.matmat(V)
         """
-        assert lint(src, NEUTRAL, "RDL007") == []
+        assert lint(src, NEUTRAL, "RDL004") == []
 
 
 # -- RDL008: unguarded allocation in span instrumentation --------------

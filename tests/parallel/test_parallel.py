@@ -50,10 +50,6 @@ class TestWorkerPool:
         assert pool.map(lambda v: v + 1, [1, 2]) == [2, 3]
         assert pool._executor is None  # never created
 
-    def test_run_thunks(self):
-        with WorkerPool(2) as pool:
-            assert pool.run([lambda: 1, lambda: 2]) == [1, 2]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkerPool(0)

@@ -1,23 +1,33 @@
-"""Every ``repro.…`` name the docs quote in backticks resolves.
+"""Every name the docs quote resolves: modules, commands, rule codes.
 
 A function deleted or moved while README.md, DESIGN.md or a page under
 ``docs/`` still names it leaves the docs pointing at nothing; this
 catches it.  A quoted name is the dotted ``repro.…`` path a backtick
 span starts with (``repro.x.f`` in ```repro.x.f(...)```): the longest
-prefix that imports as a module, then ``getattr`` for the rest.
+prefix that imports as a module, then ``getattr`` for the rest.  The
+same pages may only name ``repro <command>``s the CLI parser has (in a
+backtick span or at the start of a code-block line) and ``RDLxxx``
+codes the linter registers.
 """
 
 import importlib
 import re
 from pathlib import Path
 
+import argparse
+
 import pytest
+
+from repro.analysis.rules import ALL_CODES
+from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md"] + sorted(
     (ROOT / "docs").glob("*.md")
 )
 NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`\n]*`")
+COMMAND = re.compile(r"(?:^|`)repro ([a-z][\w-]*)", re.MULTILINE)
+CODE = re.compile(r"\bRDL\d{3}\b")
 
 
 def quoted_names(path):
@@ -57,3 +67,33 @@ def test_quoted_names_resolve(path):
         except (ImportError, AttributeError):
             missing.append(name)
     assert not missing, f"{path.name} names what does not exist: {missing}"
+
+
+def subcommands():
+    (action,) = [
+        a
+        for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return set(action.choices)
+
+
+def test_patterns_find_a_stale_command_and_code():
+    text = "run `repro gone src`, or:\n```\nrepro nope --json\n```\nRDL099"
+    assert COMMAND.findall(text) == ["gone", "nope"]
+    assert not {"gone", "nope"} & subcommands()
+    assert CODE.findall(text) == ["RDL099"]
+    assert "RDL099" not in ALL_CODES
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+def test_quoted_commands_exist(path):
+    missing = sorted(set(COMMAND.findall(path.read_text())) - subcommands())
+    assert not missing, f"{path.name} names no such command: {missing}"
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+def test_rule_codes_are_registered(path):
+    known = set(ALL_CODES) | {"RDL000"}
+    stale = sorted(set(CODE.findall(path.read_text())) - known)
+    assert not stale, f"{path.name} names unregistered rules: {stale}"
